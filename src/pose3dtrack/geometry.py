@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +51,67 @@ class Box3D:
         return Box3D(x0, x1, y0, y1, z0, z1)
 
 
-def _mask_box_depths(depth: DepthMap, mask: Mask2D, box: Box2D) -> np.ndarray:
-    """Valid depth values over decode(mask) ∩ clamp(box), as float64."""
+@dataclass(frozen=True)
+class Support:
+    """One detection's depth support, cropped to the smallest rectangle that
+    holds both its mask and its clamped integer box.
+
+    ``depth``, ``mask`` and ``box`` are (h, w) arrays whose pixel (0, 0) is
+    frame pixel (row0, col0); ``z_min``/``z_max`` are the (percentile-clipped)
+    extrema of the valid depths over mask ∩ box.
+    """
+
+    row0: int
+    col0: int
+    depth: np.ndarray  # float32 depth crop
+    mask: np.ndarray  # bool: decoded mask
+    box: np.ndarray  # bool: pixels inside the clamped box
+    z_min: float
+    z_max: float
+
+    @property
+    def z_mid(self) -> float:
+        return (self.z_min + self.z_max) / 2.0
+
+
+def depth_support(
+    depth: DepthMap,
+    mask: Mask2D,
+    box: Box2D,
+    percentile: float = 0.0,
+) -> Support:
+    """Build the per-detection support that :func:`lift_box` and
+    :func:`~pose3dtrack.pose3d.lift_pose` share; see :func:`depth_extrema`."""
     if (mask.width, mask.height) != (depth.width, depth.height):
         raise ValidationError(
             f"mask is {mask.width}x{mask.height} but depth is "
             f"{depth.width}x{depth.height}"
         )
+    w = depth.width
     clamped = box.clamp(depth.width, depth.height)
+    bc0, bc1 = math.ceil(clamped.x_min), math.floor(clamped.x_max)
+    br0, br1 = math.ceil(clamped.y_min), math.floor(clamped.y_max)
     idx = mask_indices(mask)
-    cols = idx % depth.width
-    rows = idx // depth.width
-    inside = ((cols >= clamped.x_min) & (cols <= clamped.x_max)
-              & (rows >= clamped.y_min) & (rows <= clamped.y_max))
-    vals = depth.values.reshape(-1)[idx[inside]]
-    return vals[vals > 0.0].astype(np.float64)
+    r0, r1, c0, c1 = br0, br1, bc0, bc1
+    if idx.size:
+        cols = idx % w
+        r0, r1 = min(r0, int(idx[0]) // w), max(r1, int(idx[-1]) // w)
+        c0, c1 = min(c0, int(cols.min())), max(c1, int(cols.max()))
+    band = np.zeros(max(r1 - r0 + 1, 0) * w, dtype=bool)
+    band[idx - r0 * w] = True
+    mask_crop = band.reshape(-1, w)[:, c0:c1 + 1]
+    box_crop = np.zeros_like(mask_crop)
+    box_crop[br0 - r0:br1 - r0 + 1, bc0 - c0:bc1 - c0 + 1] = True
+    depth_crop = depth.values[r0:r1 + 1, c0:c1 + 1]
+    vals = depth_crop[mask_crop & box_crop]
+    vals = vals[vals > 0.0].astype(np.float64)
+    if vals.size == 0:
+        raise EmptySupportError("no valid depth pixel inside mask ∩ box")
+    if percentile <= 0.0:
+        z_min, z_max = vals.min(), vals.max()
+    else:
+        z_min, z_max = np.percentile(vals, (percentile, 100.0 - percentile))
+    return Support(r0, c0, depth_crop, mask_crop, box_crop, float(z_min), float(z_max))
 
 
 def depth_extrema(
@@ -79,13 +126,8 @@ def depth_extrema(
     instead of the absolute extrema, which keeps single outlier pixels from
     inflating the person's depth span.
     """
-    vals = _mask_box_depths(depth, mask, box)
-    if vals.size == 0:
-        raise EmptySupportError("no valid depth pixel inside mask ∩ box")
-    if percentile <= 0.0:
-        return float(vals.min()), float(vals.max())
-    return (float(np.percentile(vals, percentile)),
-            float(np.percentile(vals, 100.0 - percentile)))
+    support = depth_support(depth, mask, box, percentile=percentile)
+    return support.z_min, support.z_max
 
 
 def lift_box(
@@ -95,15 +137,18 @@ def lift_box(
     cam: CameraModel,
     min_thickness: float = 0.2,
     percentile: float = 0.0,
+    support: Support | None = None,
 ) -> Box3D:
     """Lift a 2D person box to a 3D box using its masked depth support.
 
     The x/y extents back-project the 2D corners at the representative depth
     z_mid = (z_min + z_max) / 2; the z extent is the measured depth span,
-    inflated symmetrically to at least min_thickness.
+    inflated symmetrically to at least min_thickness.  A prebuilt ``support``
+    (from :func:`depth_support` with the same percentile) skips rebuilding it.
     """
-    z_min, z_max = depth_extrema(depth, mask, box, percentile=percentile)
-    z_mid = (z_min + z_max) / 2.0
+    if support is None:
+        support = depth_support(depth, mask, box, percentile=percentile)
+    z_min, z_max, z_mid = support.z_min, support.z_max, support.z_mid
     xa, ya = cam.back_project(box.x_min, box.y_min, z_mid)
     xb, yb = cam.back_project(box.x_max, box.y_max, z_mid)
     if z_max - z_min < min_thickness:

@@ -21,6 +21,7 @@ File formats handled here:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,14 +179,19 @@ def mask_indices(mask: Mask2D) -> np.ndarray:
     """Covered indices as a sorted int64 array (fast path for sampling)."""
     if not mask.runs:
         return np.empty(0, dtype=np.int64)
-    parts = [np.arange(start, start + length, dtype=np.int64) for start, length in mask.runs]
-    return np.concatenate(parts)
+    flat = np.fromiter(itertools.chain.from_iterable(mask.runs), dtype=np.int64,
+                       count=2 * len(mask.runs))
+    starts, lengths = flat[0::2], flat[1::2]
+    ends = np.cumsum(lengths)  # run ends in output positions
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def encode_mask(indices, width: int, height: int) -> Mask2D:
     """Build the canonical Mask2D covering exactly the given pixel indices."""
-    idx = np.unique(np.asarray(sorted(indices) if isinstance(indices, set) else indices,
-                               dtype=np.int64))
+    idx = np.asarray(sorted(indices) if isinstance(indices, set) else indices,
+                     dtype=np.int64)
+    if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]):  # not already strictly increasing
+        idx = np.unique(idx)
     if idx.size and (idx[0] < 0 or idx[-1] >= width * height):
         raise ValidationError("encode_mask: index out of bounds")
     runs: list[tuple[int, int]] = []
@@ -380,13 +386,10 @@ def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[
                 raise ValidationError(f"{path}: line {lineno}: {e}") from None
             records.append((det.frame_index, -det.score, lineno, det))
     records.sort(key=lambda r: r[:3])
-    frames: list[FrameDetections] = []
+    grouped: dict[int, list[Detection]] = {}
     for frame_index, _, _, det in records:
-        if frames and frames[-1].frame_index == frame_index:
-            frames[-1] = FrameDetections(frame_index, frames[-1].detections + (det,))
-        else:
-            frames.append(FrameDetections(frame_index, (det,)))
-    return frames
+        grouped.setdefault(frame_index, []).append(det)
+    return [FrameDetections(index, tuple(dets)) for index, dets in grouped.items()]
 
 
 def write_detections(path: str | Path, detections: list[Detection]) -> None:

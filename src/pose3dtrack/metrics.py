@@ -289,9 +289,7 @@ def pck3d_rel(
 
 def auc_rel(pairs: list[tuple[Pose3D, Pose3D]]) -> float:
     """Mean of pck3d_rel over the fixed 5 mm threshold grid up to 150 mm."""
-    return float(np.mean([
-        pck3d_rel(pairs, tau=t, with_auc=False).pck_rel for t in AUC_THRESHOLDS
-    ]))
+    return pck3d_rel(pairs).auc_rel
 
 
 def matched_pose_pairs(

@@ -8,23 +8,18 @@ and slot in behind the same interface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import EmptySupportError, ValidationError
-from .geometry import depth_extrema
-from .ingest import (
-    CameraModel,
-    Detection,
-    DepthMap,
-    LifterSpec,
-    LiftingConfig,
-    get_skeleton,
-    mask_indices,
-)
+from .geometry import Support, depth_support
+from .ingest import CameraModel, Detection, DepthMap, LifterSpec, LiftingConfig, get_skeleton
+
+# Unused here; kept so per-layer tracing can still patch these names on pose3d.
+from .geometry import depth_extrema  # noqa: F401
+from .ingest import mask_indices  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,37 +50,55 @@ class Pose3D:
 
 
 class Lifter(Protocol):
-    def __call__(self, det: Detection, depth: DepthMap, cam: CameraModel) -> Pose3D: ...
+    def __call__(self, det: Detection, depth: DepthMap, cam: CameraModel,
+                 support: Support | None = None) -> Pose3D: ...
 
 
-def _window_median(
-    depth: DepthMap,
-    support: np.ndarray,
-    u: float,
-    v: float,
+def _window_medians(
+    support: Support,
+    u: np.ndarray,
+    v: np.ndarray,
     patch: int,
-    band: tuple[float, float] | None = None,
-) -> float | None:
-    """Median valid depth over the patch window restricted to `support`.
+) -> np.ndarray:
+    """Per-joint median valid depth over the patch window around the rounded
+    pixel (u[k], v[k]): mask pass, then depth-band box pass; NaN where
+    neither window holds a valid sample.
 
-    `support` is a boolean (h, w) array.  An optional depth band rejects
-    samples outside [band[0], band[1]], which keeps an overlapping person's
-    surface from leaking into this person's joints.
+    The box pass keeps only samples inside [z_min, z_max], which keeps an
+    overlapping person's surface from leaking into this person's joints.
     """
+    h, w = support.depth.shape
     r = patch // 2
-    ci, ri = int(round(u)), int(round(v))
-    c0, c1 = max(ci - r, 0), min(ci + r, depth.width - 1)
-    r0, r1 = max(ri - r, 0), min(ri + r, depth.height - 1)
-    if c0 > c1 or r0 > r1:
-        return None
-    window = depth.values[r0:r1 + 1, c0:c1 + 1]
-    picked = support[r0:r1 + 1, c0:c1 + 1] & (window > 0.0)
-    vals = window[picked].astype(np.float64)
-    if band is not None and vals.size:
-        vals = vals[(vals >= band[0]) & (vals <= band[1])]
-    if vals.size == 0:
-        return None
-    return float(np.median(vals))
+    # Clipping the center just past the crop keeps a window that misses the
+    # crop missing it, and keeps far-off keypoints in int64 range.
+    rows = np.clip(np.rint(v) - support.row0, -r - 1, h + r).astype(np.int64)
+    cols = np.clip(np.rint(u) - support.col0, -r - 1, w + r).astype(np.int64)
+    offsets = np.arange(-r, r + 1)
+    win_r = rows[:, None, None] + offsets[None, :, None]  # (joints, patch, 1)
+    win_c = cols[:, None, None] + offsets[None, None, :]  # (joints, 1, patch)
+    inside = (win_r >= 0) & (win_r < h) & (win_c >= 0) & (win_c < w)
+    win_r, win_c = np.clip(win_r, 0, h - 1), np.clip(win_c, 0, w - 1)
+    vals = support.depth[win_r, win_c].reshape(rows.size, -1)
+    positive = vals > 0.0
+    z = _medians(vals, (inside & support.mask[win_r, win_c]).reshape(rows.size, -1) & positive)
+    missing = np.isnan(z)
+    if missing.any():
+        wide = vals.astype(np.float64)  # the band is compared in float64
+        in_band = ((inside & support.box[win_r, win_c]).reshape(rows.size, -1) & positive
+                   & (wide >= support.z_min) & (wide <= support.z_max))
+        z[missing] = _medians(vals, in_band)[missing]
+    return z
+
+
+def _medians(vals: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Row-wise median of vals[picked] as float64 (the mean of the two middle
+    order statistics, as np.median), NaN for rows with nothing picked."""
+    n = picked.sum(axis=1)
+    ordered = np.sort(np.where(picked, vals, np.inf), axis=1)
+    k = np.arange(n.size)
+    lo = ordered[k, np.maximum(n - 1, 0) // 2].astype(np.float64)
+    hi = ordered[k, n // 2].astype(np.float64)
+    return np.where(n > 0, (lo + hi) / 2.0, np.nan)
 
 
 def lift_pose(
@@ -94,6 +107,7 @@ def lift_pose(
     cam: CameraModel,
     patch: int = 5,
     percentile: float = 0.0,
+    support: Support | None = None,
 ) -> Pose3D:
     """Lift one detection's 2D keypoints into world coordinates.
 
@@ -102,7 +116,9 @@ def lift_pose(
     window intersected with the box (restricted to the person's measured
     depth band), then to the person's mid depth.  X and Y follow from the
     pinhole model at that Z.  Joints with confidence 0 inherit the root's
-    coordinates so pose arity stays fixed.
+    coordinates so pose arity stays fixed.  A prebuilt ``support`` (from
+    :func:`~pose3dtrack.geometry.depth_support` with the same percentile)
+    skips rebuilding it.
     """
     if patch < 1 or patch % 2 == 0:
         raise ValidationError(f"patch must be odd and >= 1, got {patch}")
@@ -110,38 +126,19 @@ def lift_pose(
     kps = det.keypoints.joints
     if kps[skel.root_index, 2] <= 0.0:
         raise EmptySupportError("root joint has zero confidence; cannot place pose")
+    if support is None:
+        support = depth_support(depth, det.mask, det.box, percentile=percentile)
 
-    z_min, z_max = depth_extrema(depth, det.mask, det.box, percentile=percentile)
-    z_mid = (z_min + z_max) / 2.0
-
-    mask_support = np.zeros((depth.height, depth.width), dtype=bool)
-    mask_support.reshape(-1)[mask_indices(det.mask)] = True
-    clamped = det.box.clamp(depth.width, depth.height)
-    box_support = np.zeros_like(mask_support)
-    bc0, bc1 = math.ceil(clamped.x_min), math.floor(clamped.x_max)
-    br0, br1 = math.ceil(clamped.y_min), math.floor(clamped.y_max)
-    if bc0 <= bc1 and br0 <= br1:
-        box_support[br0:br1 + 1, bc0:bc1 + 1] = True
+    live = kps[:, 2] > 0.0
+    u, v, conf = kps[live].T
+    z = _window_medians(support, u, v, patch)
+    z[np.isnan(z)] = support.z_mid
+    x, y = cam.back_project(u, v, z)
 
     joints = np.empty((skel.joint_count, 4), dtype=np.float64)
-    for j in range(skel.joint_count):
-        u, v, conf = kps[j]
-        if conf <= 0.0:
-            joints[j] = (0.0, 0.0, 0.0, 0.0)  # filled from root below
-            continue
-        z = _window_median(depth, mask_support, u, v, patch)
-        if z is None:
-            z = _window_median(depth, box_support, u, v, patch, band=(z_min, z_max))
-        if z is None:
-            z = z_mid
-        x, y = cam.back_project(u, v, z)
-        joints[j] = (x, y, z, conf)
-
-    root = joints[skel.root_index]
-    for j in range(skel.joint_count):
-        if kps[j, 2] <= 0.0:
-            joints[j, :3] = root[:3]
-            joints[j, 3] = 0.0
+    joints[live] = np.column_stack((x, y, z, conf))
+    joints[~live, :3] = joints[skel.root_index, :3]
+    joints[~live, 3] = 0.0
     return Pose3D(joints=joints, root_index=skel.root_index, skeleton_id=skel.name)
 
 
@@ -179,9 +176,10 @@ def make_lifter(spec: LifterSpec, lifting: LiftingConfig) -> Lifter:
 def _depth_median_factory(params: dict, lifting: LiftingConfig) -> Lifter:
     patch = int(params.get("patch", 5))
 
-    def lifter(det: Detection, depth: DepthMap, cam: CameraModel) -> Pose3D:
+    def lifter(det: Detection, depth: DepthMap, cam: CameraModel,
+               support: Support | None = None) -> Pose3D:
         return lift_pose(det, depth, cam, patch=patch,
-                         percentile=lifting.depth_percentile)
+                         percentile=lifting.depth_percentile, support=support)
 
     return lifter
 

@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import __version__
 from .errors import ParseError, PoseTrackError, SequencingError, ValidationError
-from .geometry import Box3D, iou2d_matrix, iou3d_matrix, lift_box
+from .geometry import Box3D, depth_support, iou2d_matrix, iou3d_matrix, lift_box
 from .ingest import (
     Box2D,
     Detection,
@@ -332,15 +332,12 @@ def run_sequence(
             depth = frame.load()
             lifted = []
             for det in frame.detections:
-                if (det.mask.width, det.mask.height) != (depth.width, depth.height):
-                    raise ValidationError(
-                        f"mask {det.mask.width}x{det.mask.height} does not match "
-                        f"depth {depth.width}x{depth.height}"
-                    )
+                support = depth_support(depth, det.mask, det.box,
+                                        percentile=lifting.depth_percentile)
                 box3d = lift_box(det.box, depth, det.mask, seq.camera,
-                                 min_thickness=lifting.min_thickness,
-                                 percentile=lifting.depth_percentile)
-                lifted.append((det, box3d, lifter(det, depth, seq.camera)))
+                                 min_thickness=lifting.min_thickness, support=support)
+                lifted.append((det, box3d, lifter(det, depth, seq.camera, support)))
+                del support  # free the crops before the next detection's are built
             placed = place_relative([pose for _, _, pose in lifted])
             items = [(det, box, pose) for (det, box, _), pose in zip(lifted, placed)]
             tracker.step(frame.frame_index, items)

@@ -8,6 +8,7 @@ brute-force permutations) so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -173,3 +174,114 @@ def clear_frame_counts(gts, preds, prev_assignment, radius):
     misses = len(gts) - len(matches)
     fp = len(preds) - len(taken)
     return matches, misses, fp, switches
+
+
+# ---------------------------------------------------------------------------
+# Full-frame lifting reference
+#
+# The library lifts from one support cropped around each detection.  These
+# functions keep the original full-frame formulation (per-run index decode,
+# two full (H, W) boolean supports, one windowed np.median per joint) as the
+# reference that the cropped path must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+def _reference_mask_indices(mask) -> np.ndarray:
+    if not mask.runs:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([np.arange(start, start + length, dtype=np.int64)
+                           for start, length in mask.runs])
+
+
+def reference_depth_extrema(depth, mask, box, percentile=0.0):
+    """Valid depths over decode(mask) ∩ clamp(box); None when there are none."""
+    clamped = box.clamp(depth.width, depth.height)
+    idx = _reference_mask_indices(mask)
+    cols = idx % depth.width
+    rows = idx // depth.width
+    inside = ((cols >= clamped.x_min) & (cols <= clamped.x_max)
+              & (rows >= clamped.y_min) & (rows <= clamped.y_max))
+    vals = depth.values.reshape(-1)[idx[inside]]
+    vals = vals[vals > 0.0].astype(np.float64)
+    if vals.size == 0:
+        return None
+    if percentile <= 0.0:
+        return float(vals.min()), float(vals.max())
+    return (float(np.percentile(vals, percentile)),
+            float(np.percentile(vals, 100.0 - percentile)))
+
+
+def reference_lift_box(box, depth, mask, cam, min_thickness=0.2, percentile=0.0):
+    """(x_min, x_max, y_min, y_max, z_min, z_max) or None for an empty support."""
+    extrema = reference_depth_extrema(depth, mask, box, percentile)
+    if extrema is None:
+        return None
+    z_min, z_max = extrema
+    z_mid = (z_min + z_max) / 2.0
+    xa, ya = cam.back_project(box.x_min, box.y_min, z_mid)
+    xb, yb = cam.back_project(box.x_max, box.y_max, z_mid)
+    if z_max - z_min < min_thickness:
+        half = min_thickness / 2.0
+        z_min, z_max = z_mid - half, z_mid + half
+    return (min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb), z_min, z_max)
+
+
+def reference_supports(depth, mask, box):
+    """The full-frame (H, W) mask and clamped-box supports."""
+    mask_support = np.zeros((depth.height, depth.width), dtype=bool)
+    mask_support.reshape(-1)[_reference_mask_indices(mask)] = True
+    clamped = box.clamp(depth.width, depth.height)
+    box_support = np.zeros_like(mask_support)
+    bc0, bc1 = math.ceil(clamped.x_min), math.floor(clamped.x_max)
+    br0, br1 = math.ceil(clamped.y_min), math.floor(clamped.y_max)
+    if bc0 <= bc1 and br0 <= br1:
+        box_support[br0:br1 + 1, bc0:bc1 + 1] = True
+    return mask_support, box_support
+
+
+def reference_window_values(depth, support, u, v, patch, band=None) -> np.ndarray:
+    """Valid float64 depths in the patch window around (u, v) on `support`."""
+    r = patch // 2
+    ci, ri = int(round(u)), int(round(v))
+    c0, c1 = max(ci - r, 0), min(ci + r, depth.width - 1)
+    r0, r1 = max(ri - r, 0), min(ri + r, depth.height - 1)
+    if c0 > c1 or r0 > r1:
+        return np.empty(0, dtype=np.float64)
+    window = depth.values[r0:r1 + 1, c0:c1 + 1]
+    vals = window[support[r0:r1 + 1, c0:c1 + 1] & (window > 0.0)].astype(np.float64)
+    if band is not None:
+        vals = vals[(vals >= band[0]) & (vals <= band[1])]
+    return vals
+
+
+def reference_lift_pose(det, depth, cam, patch=5, percentile=0.0, root_index=14):
+    """(J, 4) joints, or None for a zero-confidence root or an empty support.
+
+    root_index defaults to the basic15 pelvis.
+    """
+    kps = det.keypoints.joints
+    if kps[root_index, 2] <= 0.0:
+        return None
+    extrema = reference_depth_extrema(depth, det.mask, det.box, percentile)
+    if extrema is None:
+        return None
+    z_min, z_max = extrema
+    z_mid = (z_min + z_max) / 2.0
+    mask_support, box_support = reference_supports(depth, det.mask, det.box)
+    joints = np.empty((kps.shape[0], 4), dtype=np.float64)
+    for j in range(kps.shape[0]):
+        u, v, conf = kps[j]
+        if conf <= 0.0:
+            joints[j] = (0.0, 0.0, 0.0, 0.0)
+            continue
+        vals = reference_window_values(depth, mask_support, u, v, patch)
+        if vals.size == 0:
+            vals = reference_window_values(depth, box_support, u, v, patch,
+                                           band=(z_min, z_max))
+        z = float(np.median(vals)) if vals.size else z_mid
+        x, y = cam.back_project(u, v, z)
+        joints[j] = (x, y, z, conf)
+    for j in range(kps.shape[0]):
+        if kps[j, 2] <= 0.0:
+            joints[j, :3] = joints[root_index, :3]
+            joints[j, 3] = 0.0
+    return joints
