@@ -74,6 +74,48 @@ class Support:
         return (self.z_min + self.z_max) / 2.0
 
 
+def _mask_columns(mask: Mask2D) -> tuple[int, int]:
+    """First and last column the mask covers, from its runs: a run inside one
+    row covers its own columns, one that crosses a row boundary all of them."""
+    w = mask.width
+    c0, c1 = w, -1
+    for start, length in mask.runs:
+        first = start % w
+        last = first + length - 1
+        if last >= w:
+            return 0, w - 1
+        if first < c0:
+            c0 = first
+        if last > c1:
+            c1 = last
+    return c0, c1
+
+
+def _linear_percentile(ordered: np.ndarray, q: float) -> float:
+    """NumPy's ``"linear"`` quantile q of an ascending array, bit for bit."""
+    n = ordered.size
+    index = (n - 1) * q
+    if index >= n - 1:
+        return float(ordered[-1])
+    k = math.floor(index)
+    t = index - k
+    a, b = float(ordered[k]), float(ordered[k + 1])
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
+
+
+def clipped_extrema(vals: np.ndarray, percentile: float = 0.0) -> tuple[float, float]:
+    """(min, max) of a non-empty array, or for percentile p > 0 its p-th and
+    (100-p)-th percentiles, equal to ``np.percentile(vals.astype(np.float64),
+    (p, 100 - p))``.  Sorts ``vals`` in place when p > 0."""
+    if percentile <= 0.0:
+        return float(vals.min()), float(vals.max())
+    vals.sort()
+    return (_linear_percentile(vals, percentile / 100),
+            _linear_percentile(vals, (100.0 - percentile) / 100))
+
+
 def depth_support(
     depth: DepthMap,
     mask: Mask2D,
@@ -94,9 +136,9 @@ def depth_support(
     idx = mask_indices(mask)
     r0, r1, c0, c1 = br0, br1, bc0, bc1
     if idx.size:
-        cols = idx % w
+        mc0, mc1 = _mask_columns(mask)
         r0, r1 = min(r0, int(idx[0]) // w), max(r1, int(idx[-1]) // w)
-        c0, c1 = min(c0, int(cols.min())), max(c1, int(cols.max()))
+        c0, c1 = min(c0, mc0), max(c1, mc1)
     band = np.zeros(max(r1 - r0 + 1, 0) * w, dtype=bool)
     band[idx - r0 * w] = True
     mask_crop = band.reshape(-1, w)[:, c0:c1 + 1]
@@ -104,14 +146,11 @@ def depth_support(
     box_crop[br0 - r0:br1 - r0 + 1, bc0 - c0:bc1 - c0 + 1] = True
     depth_crop = depth.values[r0:r1 + 1, c0:c1 + 1]
     vals = depth_crop[mask_crop & box_crop]
-    vals = vals[vals > 0.0].astype(np.float64)
+    vals = vals[vals > 0.0]
     if vals.size == 0:
         raise EmptySupportError("no valid depth pixel inside mask ∩ box")
-    if percentile <= 0.0:
-        z_min, z_max = vals.min(), vals.max()
-    else:
-        z_min, z_max = np.percentile(vals, (percentile, 100.0 - percentile))
-    return Support(r0, c0, depth_crop, mask_crop, box_crop, float(z_min), float(z_max))
+    z_min, z_max = clipped_extrema(vals, percentile)
+    return Support(r0, c0, depth_crop, mask_crop, box_crop, z_min, z_max)
 
 
 def depth_extrema(

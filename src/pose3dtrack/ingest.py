@@ -91,8 +91,12 @@ class CameraModel:
     world_scale: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValidationError("CameraModel: fx, fy, cx and cy must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValidationError("CameraModel: fx and fy must be > 0")
+        if not (math.isfinite(self.world_scale) and self.world_scale > 0):
+            raise ValidationError("CameraModel: world_scale must be finite and > 0")
 
     def back_project(self, u: float, v: float, z: float) -> tuple[float, float]:
         """Pixel (u, v) at depth z -> (X, Y)."""
@@ -242,7 +246,7 @@ class Detection:
             raise ValidationError("Detection: negative frame_index")
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"Detection: score {self.score} outside [0, 1]")
-        if self.mask.pixel_count < 1:
+        if not self.mask.runs:  # runs have length >= 1, so no runs means no pixel
             raise ValidationError("Detection: empty mask")
         if not _box_overlaps_mask(self.box, self.mask):
             raise ValidationError("Detection: box does not overlap mask support")
@@ -453,12 +457,18 @@ def load_sequence(
     depth_dir = Path(depth_dir)
     by_frame = {fd.frame_index: fd.detections
                 for fd in parse_detections(detections_path, skeleton_id=skeleton_id)}
-    depth_frames = {}
+    depth_frames: dict[int, Path] = {}
     for path in depth_dir.glob("*.dpt"):
         try:
-            depth_frames[int(path.stem)] = path
+            index = int(path.stem)
         except ValueError:
             continue
+        if index < 0:
+            raise ValidationError(f"{path}: negative frame index {index}")
+        if index in depth_frames:
+            first, second = sorted((depth_frames[index], path))
+            raise ValidationError(f"frame {index}: two depth rasters, {first} and {second}")
+        depth_frames[index] = path
     missing = sorted(set(by_frame) - set(depth_frames))
     if missing:
         raise ValidationError(
@@ -548,6 +558,10 @@ class EngineConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     metrics: MetricConfig = field(default_factory=MetricConfig)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValidationError("EngineConfig: fps must be finite and > 0")
+
 
 def config_from_dict(obj: dict) -> EngineConfig:
     try:
@@ -609,7 +623,7 @@ def load_config(path: str | Path) -> EngineConfig:
         raise ParseError(f"{path}: config must be a JSON object")
     try:
         return config_from_dict(obj)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ValidationError(f"{path}: {e}") from None
 
 

@@ -432,7 +432,9 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                         box3d=Box3D.from_array(s["box3d"]),
                         pose3d=_pose_from_list(s["pose3d"], skeleton_id, root_index),
                     ))
-            except (KeyError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
+            except ValidationError as e:
+                raise ValidationError(f"{path}: line {lineno}: {e}") from None
             tracks.append(track)
     return header, tracks

@@ -1,0 +1,136 @@
+"""Input validation at the file and config boundary: camera intrinsics, fps,
+depth directory names and tracks-file records."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pose3dtrack.errors import ParseError, ValidationError
+from pose3dtrack.ingest import (
+    BASIC15,
+    CameraModel,
+    DepthMap,
+    config_from_dict,
+    load_config,
+    load_sequence,
+    write_depth,
+)
+from pose3dtrack.tracking import OBSERVED, read_tracks
+
+CAMERA = {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0}
+
+
+# ---------------------------------------------------------------------------
+# Camera and fps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("fx", math.inf), ("fx", math.nan), ("fy", -math.inf), ("fy", math.nan),
+    ("cx", math.nan), ("cx", math.inf), ("cy", -math.inf), ("cy", math.nan),
+])
+def test_camera_rejects_non_finite_intrinsics(field, value):
+    with pytest.raises(ValidationError, match="finite"):
+        CameraModel(**{**CAMERA, field: value})
+
+
+@pytest.mark.parametrize("world_scale", [0.0, -1.0, math.inf, math.nan])
+def test_camera_rejects_bad_world_scale(world_scale):
+    with pytest.raises(ValidationError, match="world_scale"):
+        CameraModel(**CAMERA, world_scale=world_scale)
+
+
+@pytest.mark.parametrize("fps", [-3, 0, math.inf, math.nan])
+def test_config_rejects_bad_fps(fps):
+    with pytest.raises(ValidationError, match="fps"):
+        config_from_dict({"camera": CAMERA, "fps": fps})
+
+
+def test_config_file_rejects_non_numeric_fps(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"camera": CAMERA, "fps": "fast"}))
+    with pytest.raises(ValidationError, match="config.json"):
+        load_config(path)
+
+
+def test_config_file_rejects_non_finite_camera(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"camera": {"fx": Infinity, "fy": 600, "cx": 320, "cy": 240}}')
+    with pytest.raises(ValidationError, match="finite"):
+        load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# Depth directory
+# ---------------------------------------------------------------------------
+
+def _depth_dir(tmp_path, names):
+    depth_dir = tmp_path / "depth"
+    depth_dir.mkdir()
+    depth = DepthMap(4, 3, np.ones((3, 4), dtype=np.float32))
+    for name in names:
+        write_depth(depth_dir / name, depth)
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("")
+    return detections, depth_dir
+
+
+def test_load_sequence_rejects_aliased_frame_names(tmp_path):
+    detections, depth_dir = _depth_dir(tmp_path, ["0.dpt", "7.dpt", "007.dpt"])
+    with pytest.raises(ValidationError, match="frame 7") as info:
+        load_sequence(detections, depth_dir, CameraModel(**CAMERA))
+    assert str(depth_dir / "7.dpt") in str(info.value)
+    assert str(depth_dir / "007.dpt") in str(info.value)
+
+
+def test_load_sequence_rejects_negative_frame_name(tmp_path):
+    detections, depth_dir = _depth_dir(tmp_path, ["0.dpt", "-1.dpt"])
+    with pytest.raises(ValidationError, match="negative") as info:
+        load_sequence(detections, depth_dir, CameraModel(**CAMERA))
+    assert str(depth_dir / "-1.dpt") in str(info.value)
+
+
+def test_load_sequence_skips_non_numeric_names(tmp_path):
+    detections, depth_dir = _depth_dir(tmp_path, ["0.dpt", "2.dpt", "notes.dpt"])
+    seq = load_sequence(detections, depth_dir, CameraModel(**CAMERA))
+    assert [fr.frame_index for fr in seq.frames] == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# Tracks file records
+# ---------------------------------------------------------------------------
+
+def _state(box3d, joints=15):
+    return {"frame": 0, "kind": OBSERVED, "box3d": box3d,
+            "pose3d": [[0.0, 0.0, 2.0, 1.0]] * joints}
+
+
+def _tracks_file(tmp_path, state):
+    path = tmp_path / "tracks.jsonl"
+    good = _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2])
+    lines = [{"header": {"kind": "tracks", "skeleton": BASIC15.name, "fps": 20.0}},
+             {"id": 1, "birth": 0, "states": [good]},
+             {"id": 2, "birth": 0, "states": [state]}]
+    path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+    return path
+
+
+def test_read_tracks_degenerate_box_names_file_and_line(tmp_path):
+    path = _tracks_file(tmp_path, _state([0.5, -0.5, -1.0, 1.0, 1.8, 2.2]))
+    with pytest.raises(ValidationError, match=r"line 3: Box3D") as info:
+        read_tracks(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_tracks_wrong_joint_count_names_file_and_line(tmp_path):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2], joints=14))
+    with pytest.raises(ValidationError, match=r"line 3: Pose3D") as info:
+        read_tracks(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_tracks_short_box_is_a_parse_error_with_line(tmp_path):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8]))
+    with pytest.raises(ParseError, match=r"line 3: .*tracks.jsonl"):
+        read_tracks(path)
