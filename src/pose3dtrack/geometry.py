@@ -196,29 +196,14 @@ def lift_box(
     return Box3D(min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb), z_min, z_max)
 
 
-def _overlap(a_min: float, a_max: float, b_min: float, b_max: float) -> float:
-    return max(0.0, min(a_max, b_max) - max(a_min, b_min))
-
-
 def iou3d(a: Box3D, b: Box3D) -> float:
     """Volume intersection-over-union of two axis-aligned 3D boxes."""
-    ov = (_overlap(a.x_min, a.x_max, b.x_min, b.x_max)
-          * _overlap(a.y_min, a.y_max, b.y_min, b.y_max)
-          * _overlap(a.z_min, a.z_max, b.z_min, b.z_max))
-    if ov == 0.0:
-        return 0.0
-    return ov / (a.volume + b.volume - ov)
+    return float(iou3d_matrix(a.as_array(), b.as_array())[0, 0])
 
 
 def iou2d(a: Box2D, b: Box2D) -> float:
     """Area intersection-over-union of two axis-aligned 2D boxes."""
-    ov = (_overlap(a.x_min, a.x_max, b.x_min, b.x_max)
-          * _overlap(a.y_min, a.y_max, b.y_min, b.y_max))
-    if ov == 0.0:
-        return 0.0
-    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
-    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
-    return ov / (area_a + area_b - ov)
+    return float(iou2d_matrix(a.as_tuple(), b.as_tuple())[0, 0])
 
 
 def iou3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

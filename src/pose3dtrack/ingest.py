@@ -24,8 +24,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -166,10 +168,6 @@ class Mask2D:
                 )
             prev_end = start + length
 
-    @property
-    def pixel_count(self) -> int:
-        return sum(length for _, length in self.runs)
-
 
 def decode_mask(mask: Mask2D) -> set[int]:
     """Exact set of row-major pixel indices covered by the mask."""
@@ -296,10 +294,6 @@ class DepthMap:
             raise ValidationError(f"DepthMap: negative depth at pixel {bad}")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def valid(self) -> np.ndarray:
-        return self.values > 0.0
-
 
 # ---------------------------------------------------------------------------
 # Depth raster IO
@@ -339,6 +333,20 @@ def write_depth(path: str | Path, depth: DepthMap) -> None:
 # Detections file
 # ---------------------------------------------------------------------------
 
+def _json_lines(path: Path) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, decoded object) for each non-blank line of a
+    JSON-lines file; invalid JSON is a ParseError naming the file and line."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno) from None
+            yield lineno, obj
+
+
 @dataclass(frozen=True)
 class FrameDetections:
     frame_index: int
@@ -374,21 +382,14 @@ def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[
     """
     path = Path(path)
     records: list[tuple[int, float, int, Detection]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno) from None
-            try:
-                det = _detection_from_obj(obj, skeleton_id)
-            except (KeyError, TypeError) as e:
-                raise ParseError(f"{path}: missing or malformed field ({e})", line=lineno) from None
-            except ValidationError as e:
-                raise ValidationError(f"{path}: line {lineno}: {e}") from None
-            records.append((det.frame_index, -det.score, lineno, det))
+    for lineno, obj in _json_lines(path):
+        try:
+            det = _detection_from_obj(obj, skeleton_id)
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"{path}: missing or malformed field ({e})", line=lineno) from None
+        except ValidationError as e:
+            raise ValidationError(f"{path}: line {lineno}: {e}") from None
+        records.append((det.frame_index, -det.score, lineno, det))
     records.sort(key=lambda r: r[:3])
     grouped: dict[int, list[Detection]] = {}
     for frame_index, _, _, det in records:
@@ -451,8 +452,10 @@ def load_sequence(
     """Join a detections file with its per-frame depth rasters.
 
     The depth directory defines the frame set (one ``<frame>.dpt`` per video
-    frame); frames without detections stay in the sequence so the tracker
-    sees them as misses.  A detection whose frame has no raster is an error.
+    frame, ``<frame>`` in ASCII digits); frames without detections stay in
+    the sequence so the tracker sees them as misses.  A detection whose frame
+    has no raster is an error, as is a name ``int()`` reads as a number but
+    that is not plain digits.  Other names are skipped.
     """
     depth_dir = Path(depth_dir)
     by_frame = {fd.frame_index: fd.detections
@@ -465,6 +468,8 @@ def load_sequence(
             continue
         if index < 0:
             raise ValidationError(f"{path}: negative frame index {index}")
+        if not (path.stem.isascii() and path.stem.isdigit()):
+            raise ValidationError(f"{path}: frame name {path.stem!r} is not plain digits")
         if index in depth_frames:
             first, second = sorted((depth_frames[index], path))
             raise ValidationError(f"frame {index}: two depth rasters, {first} and {second}")
@@ -509,10 +514,6 @@ class LiftingConfig:
             raise ValidationError("LiftingConfig: min_thickness must be > 0")
         if not (0.0 <= self.depth_percentile < 50.0):
             raise ValidationError("LiftingConfig: depth_percentile must be in [0, 50)")
-
-    @property
-    def patch(self) -> int:
-        return int(self.lifter.parameters.get("patch", 5))
 
 
 @dataclass(frozen=True)
@@ -586,29 +587,12 @@ def config_from_dict(obj: dict) -> EngineConfig:
 
 def config_to_dict(cfg: EngineConfig) -> dict:
     return {
-        "camera": {
-            "fx": cfg.camera.fx, "fy": cfg.camera.fy,
-            "cx": cfg.camera.cx, "cy": cfg.camera.cy,
-            "world_scale": cfg.camera.world_scale,
-        },
+        "camera": asdict(cfg.camera),
         "fps": cfg.fps,
         "skeleton": cfg.skeleton_id,
-        "lifting": {
-            "min_thickness": cfg.lifting.min_thickness,
-            "depth_percentile": cfg.lifting.depth_percentile,
-            "lifter": {"name": cfg.lifting.lifter.name,
-                       "parameters": cfg.lifting.lifter.parameters},
-        },
-        "tracker": {
-            "iou_gate": cfg.tracker.iou_gate,
-            "max_gap": cfg.tracker.max_gap,
-            "predictor_window": cfg.tracker.predictor_window,
-            "association_mode": cfg.tracker.association_mode,
-            "min_track_score": cfg.tracker.min_track_score,
-            "predictor": {"name": cfg.tracker.predictor.name,
-                          "parameters": cfg.tracker.predictor.parameters},
-        },
-        "metrics": {"radius": cfg.metrics.radius, "tau": cfg.metrics.tau},
+        "lifting": asdict(cfg.lifting),
+        "tracker": asdict(cfg.tracker),
+        "metrics": asdict(cfg.metrics),
     }
 
 

@@ -49,15 +49,24 @@ class GroundTruth:
         return sum(len(v) for v in self.frames.values())
 
 
-def ground_truth_from_tracks(tracks: list[Track], skeleton_id: str = "basic15") -> GroundTruth:
-    """Reinterpret track records as ground truth ("id" becomes gt_id)."""
+def _poses_by_frame(tracks: list[Track],
+                    observed_only: bool = False) -> dict[int, list[tuple[int, Pose3D]]]:
+    """frame -> [(track_id, pose)] in track-id order, optionally observed
+    states only."""
     frames: dict[int, list[tuple[int, Pose3D]]] = {}
     for track in tracks:
         for state in track.states:
+            if observed_only and state.kind != OBSERVED:
+                continue
             frames.setdefault(state.frame_index, []).append((track.track_id, state.pose3d))
     for entries in frames.values():
         entries.sort(key=lambda e: e[0])
-    return GroundTruth(frames=frames, skeleton_id=skeleton_id)
+    return frames
+
+
+def ground_truth_from_tracks(tracks: list[Track], skeleton_id: str = "basic15") -> GroundTruth:
+    """Reinterpret track records as ground truth ("id" becomes gt_id)."""
+    return GroundTruth(frames=_poses_by_frame(tracks), skeleton_id=skeleton_id)
 
 
 @dataclass
@@ -133,16 +142,6 @@ def match_frame(
             if dist[r, c] <= radius]
 
 
-def _predictions_by_frame(tracks: list[Track]) -> dict[int, list[tuple[int, Pose3D]]]:
-    frames: dict[int, list[tuple[int, Pose3D]]] = {}
-    for track in tracks:
-        for state in track.states:
-            frames.setdefault(state.frame_index, []).append((track.track_id, state.pose3d))
-    for entries in frames.values():
-        entries.sort(key=lambda e: e[0])
-    return frames
-
-
 # ---------------------------------------------------------------------------
 # MOTA
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def mota(gt: GroundTruth, tracks: list[Track], radius: float = 0.5) -> MotReport
     """CLEAR-MOT accumulation over all ground-truth frames."""
     if gt.total == 0:
         raise EvaluationError("MOTA is undefined for empty ground truth")
-    preds_by_frame = _predictions_by_frame(tracks)
+    preds_by_frame = _poses_by_frame(tracks)
     last_matched: dict[int, int] = {}
     misses = false_positives = id_switches = 0
     per_frame: list[dict] = []
@@ -299,17 +298,11 @@ def matched_pose_pairs(
     observed_only: bool = False,
 ) -> list[tuple[Pose3D, Pose3D]]:
     """Frame-wise root-distance matching, returning (gt, prediction) pairs."""
-    preds_by_frame: dict[int, list[tuple[int, Pose3D]]] = {}
-    for track in tracks:
-        for state in track.states:
-            if observed_only and state.kind != OBSERVED:
-                continue
-            preds_by_frame.setdefault(state.frame_index, []).append(
-                (track.track_id, state.pose3d))
+    preds_by_frame = _poses_by_frame(tracks, observed_only)
     pairs: list[tuple[Pose3D, Pose3D]] = []
     for frame in gt.frame_indices:
         gts = sorted(gt.frames[frame], key=lambda g: g[0])
-        preds = sorted(preds_by_frame.get(frame, []), key=lambda p: p[0])
+        preds = preds_by_frame.get(frame, [])
         gt_by_id = dict(gts)
         pred_by_id = dict(preds)
         for gt_id, tid in match_frame(gts, preds, radius):

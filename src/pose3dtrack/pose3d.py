@@ -142,17 +142,6 @@ def lift_pose(
     return Pose3D(joints=joints, root_index=skel.root_index, skeleton_id=skel.name)
 
 
-def place_relative(poses: list[Pose3D]) -> list[Pose3D]:
-    """Anchor hook for root-relative lifters; the identity in the baseline.
-
-    Baseline poses are already world-framed, so relative depth ordering
-    between people in a frame is preserved as-is.  A learned root-relative
-    lifter would have its output translated onto the depth-derived root
-    here before the poses reach the tracker.
-    """
-    return list(poses)
-
-
 # ---------------------------------------------------------------------------
 # Lifter registry
 # ---------------------------------------------------------------------------

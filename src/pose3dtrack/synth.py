@@ -14,7 +14,7 @@ seeded and applied only after ground truth is captured.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -348,9 +348,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "width": sc.width,
         "height": sc.height,
         "seed": sc.seed,
-        "camera": {"fx": sc.camera.fx, "fy": sc.camera.fy,
-                   "cx": sc.camera.cx, "cy": sc.camera.cy,
-                   "world_scale": sc.camera.world_scale},
+        "camera": asdict(sc.camera),
         "persons": [
             {"extent": list(p.extent),
              "waypoints": [[f, list(pt)] for f, pt in p.waypoints]}

@@ -11,7 +11,7 @@ ends, so gaps are bridged but exits are never hallucinated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -28,9 +28,10 @@ from .ingest import (
     PredictorSpec,
     SequenceInput,
     TrackerConfig,
+    _json_lines,
     get_skeleton,
 )
-from .pose3d import Pose3D, make_lifter, place_relative
+from .pose3d import Pose3D, make_lifter
 
 OBSERVED = "obs"
 PREDICTED = "pred"
@@ -338,9 +339,7 @@ def run_sequence(
                                  min_thickness=lifting.min_thickness, support=support)
                 lifted.append((det, box3d, lifter(det, depth, seq.camera, support)))
                 del support  # free the crops before the next detection's are built
-            placed = place_relative([pose for _, _, pose in lifted])
-            items = [(det, box, pose) for (det, box, _), pose in zip(lifted, placed)]
-            tracker.step(frame.frame_index, items)
+            tracker.step(frame.frame_index, lifted)
         except PoseTrackError as e:
             raise type(e)(f"frame {frame.frame_index}: {e}") from e
     return tracker.finalize()
@@ -375,14 +374,7 @@ def write_tracks(
         "fps": fps,
     }
     if tracker_cfg is not None:
-        header["tracker"] = {
-            "iou_gate": tracker_cfg.iou_gate,
-            "max_gap": tracker_cfg.max_gap,
-            "predictor_window": tracker_cfg.predictor_window,
-            "association_mode": tracker_cfg.association_mode,
-            "min_track_score": tracker_cfg.min_track_score,
-            "predictor": tracker_cfg.predictor.name,
-        }
+        header["tracker"] = {**asdict(tracker_cfg), "predictor": tracker_cfg.predictor.name}
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"header": header}) + "\n")
         for track in tracks:
@@ -407,34 +399,27 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     path = Path(path)
     header: dict = {}
     tracks: list[Track] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno) from None
-            if "header" in obj:
-                header = obj["header"]
-                continue
-            try:
-                skeleton_id = header.get("skeleton", "basic15")
-                root_index = get_skeleton(skeleton_id).root_index
-                track = Track(track_id=int(obj["id"]), birth_frame=int(obj["birth"]))
-                for s in obj["states"]:
-                    if s["kind"] not in (OBSERVED, PREDICTED):
-                        raise ParseError(
-                            f"{path}: unknown state kind {s['kind']!r}", line=lineno)
-                    track.states.append(TrackState(
-                        frame_index=int(s["frame"]),
-                        kind=s["kind"],
-                        box3d=Box3D.from_array(s["box3d"]),
-                        pose3d=_pose_from_list(s["pose3d"], skeleton_id, root_index),
-                    ))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
-            except ValidationError as e:
-                raise ValidationError(f"{path}: line {lineno}: {e}") from None
-            tracks.append(track)
+    for lineno, obj in _json_lines(path):
+        if "header" in obj:
+            header = obj["header"]
+            continue
+        try:
+            skeleton_id = header.get("skeleton", "basic15")
+            root_index = get_skeleton(skeleton_id).root_index
+            track = Track(track_id=int(obj["id"]), birth_frame=int(obj["birth"]))
+            for s in obj["states"]:
+                if s["kind"] not in (OBSERVED, PREDICTED):
+                    raise ParseError(
+                        f"{path}: unknown state kind {s['kind']!r}", line=lineno)
+                track.states.append(TrackState(
+                    frame_index=int(s["frame"]),
+                    kind=s["kind"],
+                    box3d=Box3D.from_array(s["box3d"]),
+                    pose3d=_pose_from_list(s["pose3d"], skeleton_id, root_index),
+                ))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
+        except ValidationError as e:
+            raise ValidationError(f"{path}: line {lineno}: {e}") from None
+        tracks.append(track)
     return header, tracks

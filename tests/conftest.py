@@ -1,21 +1,6 @@
-import numpy as np
 import pytest
 
 from pose3dtrack.geometry import Box3D
-from pose3dtrack.ingest import BASIC15
-from pose3dtrack.pose3d import Pose3D
-
-
-@pytest.fixture
-def simple_pose():
-    """Factory for a 15-joint pose with every joint at the given root."""
-
-    def make(x, y, z, conf=1.0):
-        joints = np.tile([x, y, z, conf], (15, 1)).astype(np.float64)
-        return Pose3D(joints=joints, root_index=BASIC15.root_index,
-                      skeleton_id=BASIC15.name)
-
-    return make
 
 
 @pytest.fixture

@@ -285,3 +285,36 @@ def reference_lift_pose(det, depth, cam, patch=5, percentile=0.0, root_index=14)
             joints[j, :3] = joints[root_index, :3]
             joints[j, 3] = 0.0
     return joints
+
+
+# ---------------------------------------------------------------------------
+# Scalar IOU reference
+#
+# The library's scalar iou3d/iou2d call the matrix kernels.  These keep the
+# original per-axis scalar formulation, which the kernels must reproduce
+# exactly.
+# ---------------------------------------------------------------------------
+
+def _overlap(a_min: float, a_max: float, b_min: float, b_max: float) -> float:
+    return max(0.0, min(a_max, b_max) - max(a_min, b_min))
+
+
+def reference_iou3d(a, b) -> float:
+    """Volume IOU of two Box3D from per-axis scalar overlaps."""
+    ov = (_overlap(a.x_min, a.x_max, b.x_min, b.x_max)
+          * _overlap(a.y_min, a.y_max, b.y_min, b.y_max)
+          * _overlap(a.z_min, a.z_max, b.z_min, b.z_max))
+    if ov == 0.0:
+        return 0.0
+    return ov / (a.volume + b.volume - ov)
+
+
+def reference_iou2d(a, b) -> float:
+    """Area IOU of two Box2D from per-axis scalar overlaps."""
+    ov = (_overlap(a.x_min, a.x_max, b.x_min, b.x_max)
+          * _overlap(a.y_min, a.y_max, b.y_min, b.y_max))
+    if ov == 0.0:
+        return 0.0
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return ov / (area_a + area_b - ov)

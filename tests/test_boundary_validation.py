@@ -91,6 +91,15 @@ def test_load_sequence_rejects_negative_frame_name(tmp_path):
     assert str(depth_dir / "-1.dpt") in str(info.value)
 
 
+@pytest.mark.parametrize("name", ["+3.dpt", " 4.dpt", "1_0.dpt", "5 .dpt", "-0.dpt",
+                                  "٣.dpt"])
+def test_load_sequence_rejects_numbers_that_are_not_plain_digits(tmp_path, name):
+    detections, depth_dir = _depth_dir(tmp_path, ["0.dpt", name])
+    with pytest.raises(ValidationError, match="plain digits") as info:
+        load_sequence(detections, depth_dir, CameraModel(**CAMERA))
+    assert str(depth_dir / name) in str(info.value)
+
+
 def test_load_sequence_skips_non_numeric_names(tmp_path):
     detections, depth_dir = _depth_dir(tmp_path, ["0.dpt", "2.dpt", "notes.dpt"])
     seq = load_sequence(detections, depth_dir, CameraModel(**CAMERA))
@@ -133,4 +142,15 @@ def test_read_tracks_wrong_joint_count_names_file_and_line(tmp_path):
 def test_read_tracks_short_box_is_a_parse_error_with_line(tmp_path):
     path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8]))
     with pytest.raises(ParseError, match=r"line 3: .*tracks.jsonl"):
+        read_tracks(path)
+
+
+def test_read_tracks_skips_blank_lines_but_counts_them(tmp_path):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["", lines[0], "  ", lines[1], lines[2]]) + "\n")
+    header, tracks = read_tracks(path)
+    assert header["fps"] == 20.0 and [t.track_id for t in tracks] == [1, 2]
+    path.write_text("\n".join([lines[0], "", "{nope"]) + "\n")
+    with pytest.raises(ParseError, match=r"line 3: .*tracks.jsonl: invalid JSON"):
         read_tracks(path)

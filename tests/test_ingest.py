@@ -168,6 +168,15 @@ def test_parse_malformed_json_names_line(tmp_path):
         parse_detections(path)
 
 
+def test_parse_skips_blank_lines_but_counts_them(tmp_path):
+    path = tmp_path / "det.jsonl"
+    path.write_text("\n" + detection_line(frame=0) + "\n   \n" + detection_line(frame=1) + "\n")
+    assert [f.frame_index for f in parse_detections(path)] == [0, 1]
+    path.write_text(detection_line() + "\n\n \n{nope\n")
+    with pytest.raises(ParseError, match="line 4"):
+        parse_detections(path)
+
+
 def test_parse_orders_by_score_within_frame(tmp_path):
     path = tmp_path / "det.jsonl"
     lines = [detection_line(frame=0, score=s) for s in (0.2, 0.9, 0.5)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -298,6 +299,26 @@ def test_matched_pairs_on_synthetic_scene():
     assert len(pairs) == gt.total
     report = pck3d_rel(pairs, tau=0.15)
     assert report.pck_rel > 99.0
+
+
+def test_matched_pairs_observed_only_skips_predicted_states():
+    from pose3dtrack.tracking import PREDICTED
+    gt = GroundTruth(frames={0: [(0, make_pose(0.0, 0.0, 3.0))],
+                             1: [(0, make_pose(0.1, 0.0, 3.0))]})
+    track = fragment(5, [(0, (0.0, 0.0, 3.0)), (1, (0.1, 0.0, 3.0))])
+    track.states[1] = dataclasses.replace(track.states[1], kind=PREDICTED)
+    assert len(matched_pose_pairs(gt, [track])) == 2
+    [(gt_pose, pred)] = matched_pose_pairs(gt, [track], observed_only=True)
+    assert gt_pose is gt.frames[0][0][1] and pred is track.states[0].pose3d
+
+
+def test_matched_pairs_do_not_depend_on_track_list_order():
+    # Two predictions at exactly the same root distance: the lower track id wins.
+    gt = GroundTruth(frames={0: [(0, make_pose(0.0, 0.0, 3.0))]})
+    low, high = fragment(1, [(0, (0.2, 0.0, 3.0))]), fragment(2, [(0, (-0.2, 0.0, 3.0))])
+    for tracks in ([low, high], [high, low]):
+        [(_, pred)] = matched_pose_pairs(gt, tracks)
+        assert pred is low.states[0].pose3d
 
 
 def test_ground_truth_round_trip_through_track_records(tmp_path):

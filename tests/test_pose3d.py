@@ -16,7 +16,7 @@ from pose3dtrack.ingest import (
     Mask2D,
     encode_mask,
 )
-from pose3dtrack.pose3d import lift_pose, make_lifter, place_relative
+from pose3dtrack.pose3d import lift_pose, make_lifter
 
 
 ROOT = BASIC15.root_index
@@ -147,16 +147,6 @@ def test_depth_scaling_scales_coordinates_exactly():
     pose1 = lift_pose(det, DepthMap(width=20, height=20, values=values), cam)
     pose2 = lift_pose(det, DepthMap(width=20, height=20, values=values * 2.0), cam)
     np.testing.assert_array_equal(pose2.joints[:, :3], pose1.joints[:, :3] * 2.0)
-
-
-def test_place_relative_identity_and_ordering(simple_pose):
-    poses = [simple_pose(0.0, 0.0, 2.0), simple_pose(1.0, 0.0, 5.0)]
-    out = place_relative(poses)
-    assert out == poses
-    assert out[0].root[2] < out[1].root[2]
-    assert place_relative([]) == []
-    single = [simple_pose(1.0, 2.0, 3.0)]
-    assert place_relative(single) == single
 
 
 def test_root_depth_order_matches_median_mask_depth_order():
