@@ -76,19 +76,14 @@ class Support:
 
 def _mask_columns(mask: Mask2D) -> tuple[int, int]:
     """First and last column the mask covers, from its runs: a run inside one
-    row covers its own columns, one that crosses a row boundary all of them."""
+    row covers its own columns, one that crosses a row boundary all of them.
+    ``(width, -1)`` for a mask without runs."""
     w = mask.width
-    c0, c1 = w, -1
-    for start, length in mask.runs:
-        first = start % w
-        last = first + length - 1
-        if last >= w:
-            return 0, w - 1
-        if first < c0:
-            c0 = first
-        if last > c1:
-            c1 = last
-    return c0, c1
+    first = mask.runs[:, 0] % w
+    last = int((first + mask.runs[:, 1]).max(initial=0)) - 1
+    if last >= w:
+        return 0, w - 1
+    return int(first.min(initial=w)), last
 
 
 def _linear_percentile(ordered: np.ndarray, q: float) -> float:

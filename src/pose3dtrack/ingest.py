@@ -142,20 +142,56 @@ class Box2D:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# Up to this many runs, one Python loop over ``runs.tolist()`` is cheaper
+# than the fixed cost of NumPy calls or of reading rows as NumPy scalars.
+_SCAN_RUNS = 32
+
+
+@dataclass(frozen=True, eq=False)
 class Mask2D:
-    """Run-length encoded binary mask over row-major pixel order."""
+    """Run-length encoded binary mask over row-major pixel order.
+
+    ``runs`` is a read-only (n, 2) int64 array of (start, length) rows,
+    converted from any (n, 2) integer sequence.
+    """
 
     width: int
     height: int
-    runs: tuple[tuple[int, int], ...]
+    runs: np.ndarray  # (n, 2) int64
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("Mask2D: non-positive dimensions")
         total = self.width * self.height
+        if total > _INT64_MAX:
+            raise ValidationError(
+                f"Mask2D: {self.width}x{self.height} pixels exceed the int64 index range"
+            )
+        runs = np.array(self.runs, dtype=np.int64)
+        if runs.size == 0:
+            runs = runs.reshape(0, 2)
+        if runs.ndim != 2 or runs.shape[1] != 2:
+            raise ValidationError(
+                f"Mask2D: runs must be (start, length) pairs, got shape {runs.shape}"
+            )
+        runs.setflags(write=False)
+        object.__setattr__(self, "runs", runs)
+        if len(runs) > _SCAN_RUNS:
+            # Find the first bad run; the loop below names it.  Runs before it
+            # are valid, so its predecessor's end and, unless its start is bad,
+            # ``total - start`` are exact; values wrapped past it are never read.
+            starts, lengths = runs[:, 0], runs[:, 1]
+            bad = lengths <= 0
+            bad[0] |= starts[0] < 0
+            bad[1:] |= starts[1:] <= starts[:-1] + lengths[:-1]
+            bad |= lengths > total - starts
+            first = int(bad.argmax())
+            if not bad[first]:
+                return
+            runs = runs[max(first - 1, 0):first + 1]  # the bad run and its valid predecessor
         prev_end = -1  # require a gap of >=1 so the encoding is canonical
-        for start, length in self.runs:
+        for start, length in runs.tolist():
             if length <= 0:
                 raise ValidationError(f"Mask2D: run ({start}, {length}) has length <= 0")
             if start <= prev_end:
@@ -168,22 +204,26 @@ class Mask2D:
                 )
             prev_end = start + length
 
+    def __eq__(self, other):
+        if not isinstance(other, Mask2D):
+            return NotImplemented
+        return ((self.width, self.height) == (other.width, other.height)
+                and np.array_equal(self.runs, other.runs))
+
 
 def decode_mask(mask: Mask2D) -> set[int]:
     """Exact set of row-major pixel indices covered by the mask."""
     covered: set[int] = set()
-    for start, length in mask.runs:
+    for start, length in mask.runs.tolist():
         covered.update(range(start, start + length))
     return covered
 
 
 def mask_indices(mask: Mask2D) -> np.ndarray:
     """Covered indices as a sorted int64 array (fast path for sampling)."""
-    if not mask.runs:
+    if not len(mask.runs):
         return np.empty(0, dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(mask.runs), dtype=np.int64,
-                       count=2 * len(mask.runs))
-    starts, lengths = flat[0::2], flat[1::2]
+    starts, lengths = mask.runs[:, 0], mask.runs[:, 1]
     ends = np.cumsum(lengths)  # run ends in output positions
     return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
@@ -196,14 +236,10 @@ def encode_mask(indices, width: int, height: int) -> Mask2D:
         idx = np.unique(idx)
     if idx.size and (idx[0] < 0 or idx[-1] >= width * height):
         raise ValidationError("encode_mask: index out of bounds")
-    runs: list[tuple[int, int]] = []
-    if idx.size:
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        for s, e in zip(starts, ends):
-            runs.append((int(idx[s]), int(idx[e] - idx[s] + 1)))
-    return Mask2D(width=width, height=height, runs=tuple(runs))
+    opens = np.ones(idx.size, dtype=bool)  # index i starts a run
+    opens[1:] = np.diff(idx) > 1
+    starts, ends = idx[opens], idx[np.roll(opens, -1)]  # a run ends before the next opens
+    return Mask2D(width=width, height=height, runs=np.column_stack((starts, ends - starts + 1)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +280,7 @@ class Detection:
             raise ValidationError("Detection: negative frame_index")
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"Detection: score {self.score} outside [0, 1]")
-        if not self.mask.runs:  # runs have length >= 1, so no runs means no pixel
+        if not len(self.mask.runs):  # runs have length >= 1, so no runs means no pixel
             raise ValidationError("Detection: empty mask")
         if not _box_overlaps_mask(self.box, self.mask):
             raise ValidationError("Detection: box does not overlap mask support")
@@ -257,15 +293,13 @@ def _box_overlaps_mask(box: Box2D, mask: Mask2D) -> bool:
     if c0 > c1 or r0 > r1:
         return False
     w = mask.width
-    for start, length in mask.runs:
-        row_a, row_b = start // w, (start + length - 1) // w
-        if row_b < r0 or row_a > r1:
-            continue
-        for row in range(max(row_a, r0), min(row_b, r1) + 1):
-            seg_a = max(start, row * w) - row * w
-            seg_b = min(start + length - 1, row * w + w - 1) - row * w
-            if seg_a <= c1 and seg_b >= c0:
-                return True
+    # Run [start, end] meets row r's box columns iff r*w + c0 <= end and
+    # start <= r*w + c1.  The first run usually has such a row in [r0, r1],
+    # so a long mask is read row by row instead of converted whole.
+    runs = mask.runs.tolist() if len(mask.runs) <= _SCAN_RUNS else mask.runs
+    for start, length in runs:
+        if max(r0, -((c1 - start) // w)) <= min(r1, (start + length - 1 - c0) // w):
+            return True
     return False
 
 
@@ -356,10 +390,14 @@ class FrameDetections:
 def _detection_from_obj(obj: dict, skeleton_id: str) -> Detection:
     box = Box2D(*(float(v) for v in obj["box"]))
     m = obj["mask"]
+    runs = m["runs"]
+    if not set(map(len, runs)) <= {2}:
+        raise ValueError("a mask run is not a [start, length] pair")
     mask = Mask2D(
         width=int(m["w"]),
         height=int(m["h"]),
-        runs=tuple((int(s), int(l)) for s, l in m["runs"]),
+        runs=np.fromiter(itertools.chain.from_iterable(runs), dtype=np.int64,
+                         count=2 * len(runs)).reshape(-1, 2),
     )
     kps = Keypoints2D(
         joints=np.asarray(obj["keypoints"], dtype=np.float64),
@@ -385,8 +423,10 @@ def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[
     for lineno, obj in _json_lines(path):
         try:
             det = _detection_from_obj(obj, skeleton_id)
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: missing or malformed field ({e})", line=lineno) from None
+        except OverflowError as e:
+            raise ValidationError(f"{path}: line {lineno}: value out of range ({e})") from None
         except ValidationError as e:
             raise ValidationError(f"{path}: line {lineno}: {e}") from None
         records.append((det.frame_index, -det.score, lineno, det))
@@ -406,7 +446,7 @@ def write_detections(path: str | Path, detections: list[Detection]) -> None:
                 "mask": {
                     "w": det.mask.width,
                     "h": det.mask.height,
-                    "runs": [list(r) for r in det.mask.runs],
+                    "runs": det.mask.runs.tolist(),
                 },
                 "keypoints": det.keypoints.joints.tolist(),
                 "score": det.score,

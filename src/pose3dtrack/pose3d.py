@@ -68,37 +68,51 @@ def _window_medians(
     overlapping person's surface from leaking into this person's joints.
     """
     h, w = support.depth.shape
-    r = patch // 2
-    # Clipping the center just past the crop keeps a window that misses the
-    # crop missing it, and keeps far-off keypoints in int64 range.
-    rows = np.clip(np.rint(v) - support.row0, -r - 1, h + r).astype(np.int64)
-    cols = np.clip(np.rint(u) - support.col0, -r - 1, w + r).astype(np.int64)
-    offsets = np.arange(-r, r + 1)
-    win_r = rows[:, None, None] + offsets[None, :, None]  # (joints, patch, 1)
-    win_c = cols[:, None, None] + offsets[None, None, :]  # (joints, 1, patch)
-    inside = (win_r >= 0) & (win_r < h) & (win_c >= 0) & (win_c < w)
-    win_r, win_c = np.clip(win_r, 0, h - 1), np.clip(win_c, 0, w - 1)
-    vals = support.depth[win_r, win_c].reshape(rows.size, -1)
-    positive = vals > 0.0
-    z = _medians(vals, (inside & support.mask[win_r, win_c]).reshape(rows.size, -1) & positive)
+    offsets = np.arange(-(patch // 2), patch // 2 + 1)
+    rows, in_rows = _window_axis(v, support.row0, h, offsets)
+    cols, in_cols = _window_axis(u, support.col0, w, offsets)
+    win_r, win_c = rows[:, :, None], cols[:, None, :]  # (joints, patch, 1), (joints, 1, patch)
+    vals = support.depth[win_r, win_c].reshape(u.size, -1)
+    valid = (in_rows[:, :, None] & in_cols[:, None, :]).reshape(u.size, -1)
+    valid &= vals > 0.0
+    z = _medians(vals, valid & support.mask[win_r, win_c].reshape(u.size, -1))
     missing = np.isnan(z)
     if missing.any():
         wide = vals.astype(np.float64)  # the band is compared in float64
-        in_band = ((inside & support.box[win_r, win_c]).reshape(rows.size, -1) & positive
-                   & (wide >= support.z_min) & (wide <= support.z_max))
-        z[missing] = _medians(vals, in_band)[missing]
+        valid &= support.box[win_r, win_c].reshape(u.size, -1)
+        valid &= wide >= support.z_min
+        valid &= wide <= support.z_max
+        z[missing] = _medians(vals, valid)[missing]
     return z
+
+
+def _window_axis(
+    center: np.ndarray,
+    origin: int,
+    size: int,
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crop indices of each window along one axis, clamped into [0, size)
+    for gathering, and whether each index lay inside before clamping.
+
+    The indices stay float until clamped, so far-off keypoints cannot leave
+    the int64 range.
+    """
+    window = (np.rint(center) - origin)[:, None] + offsets
+    clamped = np.maximum(window, 0.0)
+    np.minimum(clamped, size - 1, out=clamped)
+    return clamped.astype(np.int64), clamped == window
 
 
 def _medians(vals: np.ndarray, picked: np.ndarray) -> np.ndarray:
     """Row-wise median of vals[picked] as float64 (the mean of the two middle
     order statistics, as np.median), NaN for rows with nothing picked."""
     n = picked.sum(axis=1)
-    ordered = np.sort(np.where(picked, vals, np.inf), axis=1)
+    ordered = np.where(picked, vals, np.inf)
+    ordered.sort(axis=1)
     k = np.arange(n.size)
     lo = ordered[k, np.maximum(n - 1, 0) // 2].astype(np.float64)
-    hi = ordered[k, n // 2].astype(np.float64)
-    return np.where(n > 0, (lo + hi) / 2.0, np.nan)
+    return np.where(n > 0, (lo + ordered[k, n // 2]) / 2.0, np.nan)
 
 
 def lift_pose(

@@ -400,10 +400,10 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     header: dict = {}
     tracks: list[Track] = []
     for lineno, obj in _json_lines(path):
-        if "header" in obj:
-            header = obj["header"]
-            continue
         try:
+            if "header" in obj:
+                header = obj["header"]
+                continue
             skeleton_id = header.get("skeleton", "basic15")
             root_index = get_skeleton(skeleton_id).root_index
             track = Track(track_id=int(obj["id"]), birth_frame=int(obj["birth"]))

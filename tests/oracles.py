@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from pose3dtrack.errors import ValidationError
+
 
 def iou3d_cell_oracle(a, b) -> float:
     """Exact IOU by enumerating the axis-breakpoint cells of the box pair.
@@ -186,7 +188,7 @@ def clear_frame_counts(gts, preds, prev_assignment, radius):
 # ---------------------------------------------------------------------------
 
 def _reference_mask_indices(mask) -> np.ndarray:
-    if not mask.runs:
+    if not len(mask.runs):
         return np.empty(0, dtype=np.int64)
     return np.concatenate([np.arange(start, start + length, dtype=np.int64)
                            for start, length in mask.runs])
@@ -318,3 +320,51 @@ def reference_iou2d(a, b) -> float:
     area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
     area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
     return ov / (area_a + area_b - ov)
+
+
+# ---------------------------------------------------------------------------
+# Mask run checks, one run at a time
+#
+# Mask2D keeps its runs as an (n, 2) int64 array and finds a bad run with
+# NumPy.  These keep the original per-run loops over Python ints, which the
+# array code must reproduce: the same accept/reject and the same message.
+# ---------------------------------------------------------------------------
+
+def reference_mask_check(width, height, runs) -> None:
+    """The original ``Mask2D.__post_init__``; raises ValidationError."""
+    if width <= 0 or height <= 0:
+        raise ValidationError("Mask2D: non-positive dimensions")
+    total = width * height
+    prev_end = -1  # require a gap of >=1 so the encoding is canonical
+    for start, length in runs:
+        if length <= 0:
+            raise ValidationError(f"Mask2D: run ({start}, {length}) has length <= 0")
+        if start <= prev_end:
+            raise ValidationError(
+                f"Mask2D: run starting at {start} overlaps or touches the previous run"
+            )
+        if start + length > total:
+            raise ValidationError(
+                f"Mask2D: run ({start}, {length}) exceeds {width}x{height}"
+            )
+        prev_end = start + length
+
+
+def reference_box_overlaps_mask(box, width, height, runs) -> bool:
+    """The original ``ingest._box_overlaps_mask``, row by row per run."""
+    clamped = box.clamp(width, height)
+    c0, c1 = math.ceil(clamped.x_min), math.floor(clamped.x_max)
+    r0, r1 = math.ceil(clamped.y_min), math.floor(clamped.y_max)
+    if c0 > c1 or r0 > r1:
+        return False
+    w = width
+    for start, length in runs:
+        row_a, row_b = start // w, (start + length - 1) // w
+        if row_b < r0 or row_a > r1:
+            continue
+        for row in range(max(row_a, r0), min(row_b, r1) + 1):
+            seg_a = max(start, row * w) - row * w
+            seg_b = min(start + length - 1, row * w + w - 1) - row * w
+            if seg_a <= c1 and seg_b >= c0:
+                return True
+    return False

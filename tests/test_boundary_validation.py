@@ -1,5 +1,5 @@
 """Input validation at the file and config boundary: camera intrinsics, fps,
-depth directory names and tracks-file records."""
+depth directory names, detection records and tracks-file records."""
 
 import json
 import math
@@ -15,6 +15,7 @@ from pose3dtrack.ingest import (
     config_from_dict,
     load_config,
     load_sequence,
+    parse_detections,
     write_depth,
 )
 from pose3dtrack.tracking import OBSERVED, read_tracks
@@ -107,6 +108,54 @@ def test_load_sequence_skips_non_numeric_names(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Detection records
+# ---------------------------------------------------------------------------
+
+def _detections_file(tmp_path, box=(0.0, 0.0, 3.0, 3.0), runs=((0, 4),)):
+    """A valid detection on line 1 and the given one on line 2."""
+    def line(box, runs):
+        return json.dumps({"frame": 0, "box": list(box),
+                           "mask": {"w": 4, "h": 4, "runs": [list(r) for r in runs]},
+                           "keypoints": [[1.0, 1.0, 1.0]] * 15, "score": 0.9})
+    path = tmp_path / "detections.jsonl"
+    path.write_text(line((0.0, 0.0, 3.0, 3.0), ((0, 4),)) + "\n" + line(box, runs) + "\n")
+    return path
+
+
+def test_parse_non_numeric_box_value_names_file_and_line(tmp_path):
+    path = _detections_file(tmp_path, box=("x", 0.0, 3.0, 3.0))
+    with pytest.raises(ParseError, match=r"line 2: .*detections.jsonl: missing or malformed"):
+        parse_detections(path)
+
+
+def test_parse_non_numeric_run_value_names_file_and_line(tmp_path):
+    path = _detections_file(tmp_path, runs=(("x", 4),))
+    with pytest.raises(ParseError, match=r"line 2: .*detections.jsonl: missing or malformed"):
+        parse_detections(path)
+
+
+@pytest.mark.parametrize("run", [(0, 4, 1), (0,), ()])
+def test_parse_run_that_is_not_a_pair_names_file_and_line(tmp_path, run):
+    path = _detections_file(tmp_path, runs=((0, 2), run))
+    with pytest.raises(ParseError, match=r"line 2: .*not a \[start, length\] pair"):
+        parse_detections(path)
+
+
+@pytest.mark.parametrize("run", [(2**63, 4), (0, 2**63), (-2**63 - 1, 4)])
+def test_parse_run_value_past_int64_names_file_and_line(tmp_path, run):
+    path = _detections_file(tmp_path, runs=(run,))
+    with pytest.raises(ValidationError, match=r"detections.jsonl: line 2: value out of range"):
+        parse_detections(path)
+
+
+def test_parse_run_value_at_int64_max_is_checked_against_the_frame(tmp_path):
+    path = _detections_file(tmp_path, runs=((2**63 - 1, 4),))
+    with pytest.raises(ValidationError, match=r"line 2: Mask2D: run \(9223372036854775807, 4\) "
+                                              r"exceeds 4x4"):
+        parse_detections(path)
+
+
+# ---------------------------------------------------------------------------
 # Tracks file records
 # ---------------------------------------------------------------------------
 
@@ -153,4 +202,13 @@ def test_read_tracks_skips_blank_lines_but_counts_them(tmp_path):
     assert header["fps"] == 20.0 and [t.track_id for t in tracks] == [1, 2]
     path.write_text("\n".join([lines[0], "", "{nope"]) + "\n")
     with pytest.raises(ParseError, match=r"line 3: .*tracks.jsonl: invalid JSON"):
+        read_tracks(path)
+
+
+@pytest.mark.parametrize("record", ["5", "[1, 2]", '"header"', "null"])
+def test_read_tracks_record_that_is_not_an_object_names_file_and_line(tmp_path, record):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], record, lines[1]]) + "\n")
+    with pytest.raises(ParseError, match=r"line 2: .*tracks.jsonl: malformed track record"):
         read_tracks(path)
