@@ -3,7 +3,8 @@
 A scene document carries everything a downstream renderer needs to animate
 the tracked people: per-actor, per-frame joint positions in meters with an
 observed/predicted flag, plus enough metadata to interpret them.  The
-format is a single JSON document and round-trips losslessly.
+format is a single JSON document, laid out as ``json.dump(..., indent=2)``
+lays it out, and round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .ingest import get_skeleton
 from .tracking import OBSERVED, PREDICTED, Track
 
@@ -71,60 +72,107 @@ def export_scene(tracks: list[Track], fps: float, skeleton_id: str) -> SceneDocu
                          engine_version=__version__, actors=tuple(actors))
 
 
-def scene_to_dict(doc: SceneDocument) -> dict:
-    return {
-        "metadata": {
-            "fps": doc.fps,
-            "skeleton": doc.skeleton_id,
-            "units": doc.units,
-            "engine_version": doc.engine_version,
-        },
-        "actors": [
-            {
-                "id": actor.actor_id,
-                "birth": actor.birth_frame,
-                "samples": [
-                    {"frame": s.frame, "state": s.state, "joints": s.joints.tolist()}
-                    for s in actor.samples
-                ],
-            }
-            for actor in doc.actors
-        ],
-    }
+def _sample_from_dict(actor_id: int, s: dict) -> ActorSample:
+    frame = int(s["frame"])
+    if s["state"] not in _STATE_NAMES.values():
+        raise ValidationError(f"actor {actor_id} frame {frame}: unknown state {s['state']!r}")
+    return ActorSample(frame=frame, state=s["state"],
+                       joints=np.asarray(s["joints"], dtype=np.float64))
 
 
 def scene_from_dict(obj: dict) -> SceneDocument:
     meta = obj["metadata"]
-    actors = tuple(
-        Actor(
-            actor_id=int(a["id"]),
+    if not isinstance(obj["actors"], list):
+        raise TypeError(f"actors must be a list, got {type(obj['actors']).__name__}")
+    actors = []
+    for a in obj["actors"]:
+        actor_id = int(a["id"])
+        actors.append(Actor(
+            actor_id=actor_id,
             birth_frame=int(a["birth"]),
-            samples=tuple(
-                ActorSample(
-                    frame=int(s["frame"]),
-                    state=s["state"],
-                    joints=np.asarray(s["joints"], dtype=np.float64),
-                )
-                for s in a["samples"]
-            ),
-        )
-        for a in obj["actors"]
-    )
+            samples=tuple(_sample_from_dict(actor_id, s) for s in a["samples"]),
+        ))
     return SceneDocument(
         fps=float(meta["fps"]),
         skeleton_id=meta["skeleton"],
         engine_version=meta["engine_version"],
         units=meta.get("units", "meters"),
-        actors=actors,
+        actors=tuple(actors),
     )
 
 
+# The padding ``json.dump(..., indent=2)`` gives each depth of the scene:
+# actors, actor keys, samples, sample keys, joint rows and numbers.
+_ACTOR, _ACTOR_KEY, _SAMPLE, _KEY, _ROW, _NUMBER = (" " * n for n in (4, 6, 8, 10, 12, 14))
+
+
+def _joints_text(joints: np.ndarray) -> str:
+    """One sample's joint list as ``json.dumps(..., indent=2)`` lays it out
+    at its depth, from one C-encoder ``json.dumps`` of the plain list.  No
+    number, ``NaN`` or ``Infinity`` contains ``"], ["`` or ``", "``."""
+    rows, cols = joints.shape
+    if not rows or not cols:
+        return _list_text(["[]"] * rows, _ROW, _KEY)
+    body = (json.dumps(joints.tolist())[2:-2]
+            .replace("], [", f"\n{_ROW}],\n{_ROW}[\n{_NUMBER}")
+            .replace(", ", f",\n{_NUMBER}"))
+    return f"[\n{_ROW}[\n{_NUMBER}{body}\n{_ROW}]\n{_KEY}]"
+
+
+def _list_text(items: list[str], pad: str, close_pad: str) -> str:
+    if not items:
+        return "[]"
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{close_pad}]"
+
+
+def _actor_text(actor: Actor) -> str:
+    samples = []
+    for s in actor.samples:
+        if s.joints.ndim != 2:
+            raise ValidationError(f"actor {actor.actor_id} frame {s.frame}: joints must be "
+                                  f"2-D, got shape {s.joints.shape}")
+        samples.append(
+            f'{{\n{_KEY}"frame": {s.frame},\n{_KEY}"state": {json.dumps(s.state)},\n'
+            f'{_KEY}"joints": {_joints_text(s.joints)}\n{_SAMPLE}}}')
+    return (f'{{\n{_ACTOR_KEY}"id": {actor.actor_id},\n{_ACTOR_KEY}"birth": {actor.birth_frame},\n'
+            f'{_ACTOR_KEY}"samples": {_list_text(samples, _SAMPLE, _ACTOR_KEY)}\n{_ACTOR}}}')
+
+
 def write_scene(path: str | Path, doc: SceneDocument) -> None:
+    """Write ``doc`` as the exact bytes of ``json.dump(..., indent=2)``.
+
+    With ``indent`` set, CPython encodes through its pure-Python encoder,
+    so the fixed structure is laid out here and every joint list goes
+    through the C encoder in one ``json.dumps`` per sample.  Actors are
+    written one at a time, so only one actor's text is held at once.
+    """
+    metadata = json.dumps({
+        "fps": doc.fps,
+        "skeleton": doc.skeleton_id,
+        "units": doc.units,
+        "engine_version": doc.engine_version,
+    }, indent=2).replace("\n", "\n  ")
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(scene_to_dict(doc), f, indent=2)
-        f.write("\n")
+        f.write(f'{{\n  "metadata": {metadata},\n  "actors": ')
+        separator = f"[\n{_ACTOR}"
+        for actor in doc.actors:
+            f.write(separator + _actor_text(actor))
+            separator = f",\n{_ACTOR}"
+        f.write("\n  ]\n}\n" if doc.actors else "[]\n}\n")
 
 
 def read_scene(path: str | Path) -> SceneDocument:
-    with open(path, "r", encoding="utf-8") as f:
-        return scene_from_dict(json.load(f))
+    """Read a scene document; invalid JSON, a missing field and a
+    mistyped one are a ParseError naming the file."""
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            obj = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON ({e.msg})", line=e.lineno) from None
+    try:
+        return scene_from_dict(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: missing or malformed field ({e})") from None
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None

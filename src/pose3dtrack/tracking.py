@@ -403,6 +403,8 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
         try:
             if "header" in obj:
                 header = obj["header"]
+                if not isinstance(header, dict):
+                    raise ParseError(f"{path}: header is not a JSON object", line=lineno)
                 continue
             skeleton_id = header.get("skeleton", "basic15")
             root_index = get_skeleton(skeleton_id).root_index

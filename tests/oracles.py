@@ -368,3 +368,28 @@ def reference_box_overlaps_mask(box, width, height, runs) -> bool:
             if seg_a <= c1 and seg_b >= c0:
                 return True
     return False
+
+
+def scene_to_dict(doc) -> dict:
+    """The scene document as plain dicts and lists: ``write_scene`` must
+    write exactly ``json.dumps(scene_to_dict(doc), indent=2) + "\n"``,
+    which CPython encodes with its pure-Python encoder."""
+    return {
+        "metadata": {
+            "fps": doc.fps,
+            "skeleton": doc.skeleton_id,
+            "units": doc.units,
+            "engine_version": doc.engine_version,
+        },
+        "actors": [
+            {
+                "id": actor.actor_id,
+                "birth": actor.birth_frame,
+                "samples": [
+                    {"frame": s.frame, "state": s.state, "joints": s.joints.tolist()}
+                    for s in actor.samples
+                ],
+            }
+            for actor in doc.actors
+        ],
+    }

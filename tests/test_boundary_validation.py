@@ -1,5 +1,6 @@
 """Input validation at the file and config boundary: camera intrinsics, fps,
-depth directory names, detection records and tracks-file records."""
+depth directory names, detection records, tracks-file records and scene
+documents."""
 
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from pose3dtrack.errors import ParseError, ValidationError
+from pose3dtrack.export import read_scene
 from pose3dtrack.ingest import (
     BASIC15,
     CameraModel,
@@ -212,3 +214,74 @@ def test_read_tracks_record_that_is_not_an_object_names_file_and_line(tmp_path, 
     path.write_text("\n".join([lines[0], record, lines[1]]) + "\n")
     with pytest.raises(ParseError, match=r"line 2: .*tracks.jsonl: malformed track record"):
         read_tracks(path)
+
+
+@pytest.mark.parametrize("header", ["5", "null", "[1, 2]", '"basic15"'])
+def test_read_tracks_header_that_is_not_an_object_names_file_and_line(tmp_path, header):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(['{"header": ' + header + '}'] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match=r"line 1: .*tracks.jsonl: header is not a JSON object"):
+        read_tracks(path)
+
+
+# ---------------------------------------------------------------------------
+# Scene documents
+# ---------------------------------------------------------------------------
+
+def _scene():
+    sample = {"frame": 3, "state": "observed", "joints": [[0.0, 1.0, 2.0]]}
+    return {"metadata": {"fps": 20.0, "skeleton": BASIC15.name, "units": "meters",
+                         "engine_version": "0.1.0"},
+            "actors": [{"id": 1, "birth": 3, "samples": [sample]}]}
+
+
+def _scene_file(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene, indent=2) + "\n")
+    return path
+
+
+def test_read_scene_accepts_the_valid_document(tmp_path):
+    doc = read_scene(_scene_file(tmp_path, _scene()))
+    assert doc.actors[0].samples[0].joints.tolist() == [[0.0, 1.0, 2.0]]
+
+
+def test_read_scene_invalid_json_names_file_and_line(tmp_path):
+    text = json.dumps(_scene(), indent=2).replace('"birth": 3', '"birth": three')
+    line = text.splitlines().index('      "birth": three,') + 1
+    path = tmp_path / "scene.json"
+    path.write_text(text + "\n")
+    with pytest.raises(ParseError, match=rf"line {line}: .*scene.json: invalid JSON"):
+        read_scene(path)
+
+
+@pytest.mark.parametrize("field", ["metadata", "actors", "samples", "frame", "joints"])
+def test_read_scene_missing_field_names_file(tmp_path, field):
+    scene = _scene()
+    for obj in (scene, scene["actors"][0], scene["actors"][0]["samples"][0]):
+        obj.pop(field, None)
+    with pytest.raises(ParseError, match=rf"scene.json: missing or malformed field .*{field}"):
+        read_scene(_scene_file(tmp_path, scene))
+
+
+@pytest.mark.parametrize("field, value", [("frame", "three"), ("joints", [[1.0, 2.0], [3.0]]),
+                                          ("joints", [["x", 1.0, 2.0]])])
+def test_read_scene_mistyped_value_names_file(tmp_path, field, value):
+    scene = _scene()
+    scene["actors"][0]["samples"][0][field] = value
+    with pytest.raises(ParseError, match=r"scene.json: missing or malformed field"):
+        read_scene(_scene_file(tmp_path, scene))
+
+
+@pytest.mark.parametrize("actors", [{}, 5, "actors"])
+def test_read_scene_actors_that_are_not_a_list_name_file(tmp_path, actors):
+    with pytest.raises(ParseError, match=r"scene.json: .*actors must be a list"):
+        read_scene(_scene_file(tmp_path, {**_scene(), "actors": actors}))
+
+
+def test_read_scene_unknown_state_names_file(tmp_path):
+    scene = _scene()
+    scene["actors"][0]["samples"][0]["state"] = "guessed"
+    with pytest.raises(ValidationError, match=r"scene.json: actor 1 frame 3: unknown state 'guessed'"):
+        read_scene(_scene_file(tmp_path, scene))

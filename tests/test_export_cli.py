@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from oracles import scene_to_dict
 from pose3dtrack.cli import main
-from pose3dtrack.export import export_scene, read_scene, scene_from_dict, scene_to_dict, write_scene
+from pose3dtrack.export import export_scene, read_scene, scene_from_dict, write_scene
 from pose3dtrack.ingest import BASIC15, TrackerConfig
 from pose3dtrack.synth import builtin, generate
 from pose3dtrack.tracking import read_tracks, run_sequence, write_tracks
