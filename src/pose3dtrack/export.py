@@ -10,6 +10,7 @@ lays it out, and round-trips losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,14 @@ class SceneDocument:
 _STATE_NAMES = {OBSERVED: "observed", PREDICTED: "predicted"}
 
 
+def _checked_fps(fps: float) -> float:
+    """``fps`` if it is finite and > 0, which a scene that is exported or
+    read must have; ``write_scene`` lays out whatever document it is given."""
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValidationError("SceneDocument: fps must be finite and > 0")
+    return fps
+
+
 def export_scene(tracks: list[Track], fps: float, skeleton_id: str) -> SceneDocument:
     """Flatten finalized tracks into a scene document."""
     joint_count = get_skeleton(skeleton_id).joint_count
@@ -68,20 +77,24 @@ def export_scene(tracks: list[Track], fps: float, skeleton_id: str) -> SceneDocu
         actors.append(Actor(actor_id=track.track_id,
                             birth_frame=track.birth_frame,
                             samples=tuple(samples)))
-    return SceneDocument(fps=fps, skeleton_id=skeleton_id,
+    return SceneDocument(fps=_checked_fps(fps), skeleton_id=skeleton_id,
                          engine_version=__version__, actors=tuple(actors))
 
 
-def _sample_from_dict(actor_id: int, s: dict) -> ActorSample:
+def _sample_from_dict(actor_id: int, s: dict, joint_count: int) -> ActorSample:
     frame = int(s["frame"])
     if s["state"] not in _STATE_NAMES.values():
         raise ValidationError(f"actor {actor_id} frame {frame}: unknown state {s['state']!r}")
-    return ActorSample(frame=frame, state=s["state"],
-                       joints=np.asarray(s["joints"], dtype=np.float64))
+    joints = np.asarray(s["joints"], dtype=np.float64)
+    if joints.shape != (joint_count, 3):
+        raise ValidationError(f"actor {actor_id} frame {frame}: joints must have shape "
+                              f"({joint_count}, 3), got {joints.shape}")
+    return ActorSample(frame=frame, state=s["state"], joints=joints)
 
 
 def scene_from_dict(obj: dict) -> SceneDocument:
     meta = obj["metadata"]
+    joint_count = get_skeleton(meta["skeleton"]).joint_count
     if not isinstance(obj["actors"], list):
         raise TypeError(f"actors must be a list, got {type(obj['actors']).__name__}")
     actors = []
@@ -90,10 +103,10 @@ def scene_from_dict(obj: dict) -> SceneDocument:
         actors.append(Actor(
             actor_id=actor_id,
             birth_frame=int(a["birth"]),
-            samples=tuple(_sample_from_dict(actor_id, s) for s in a["samples"]),
+            samples=tuple(_sample_from_dict(actor_id, s, joint_count) for s in a["samples"]),
         ))
     return SceneDocument(
-        fps=float(meta["fps"]),
+        fps=_checked_fps(float(meta["fps"])),
         skeleton_id=meta["skeleton"],
         engine_version=meta["engine_version"],
         units=meta.get("units", "meters"),
@@ -163,7 +176,10 @@ def write_scene(path: str | Path, doc: SceneDocument) -> None:
 
 def read_scene(path: str | Path) -> SceneDocument:
     """Read a scene document; invalid JSON, a missing field and a
-    mistyped one are a ParseError naming the file."""
+    mistyped one are a ParseError naming the file.  An fps that is not
+    finite and > 0, an unknown skeleton and joints not shaped (skeleton
+    joint count, 3) are a ValidationError naming the file (and the actor
+    and frame)."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as f:

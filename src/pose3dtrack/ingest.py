@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -303,6 +304,9 @@ def _box_overlaps_mask(box: Box2D, mask: Mask2D) -> bool:
     return False
 
 
+_FLOAT32_INF_BITS = 0x7F800000  # the bits of float32 +inf
+
+
 @dataclass(frozen=True)
 class DepthMap:
     """Per-pixel metric depth; 0.0 encodes an invalid pixel."""
@@ -320,12 +324,17 @@ class DepthMap:
                 f"DepthMap: payload shape {arr.shape} does not match "
                 f"{self.height}x{self.width}"
             )
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr.reshape(-1)))[0])
-            raise ValidationError(f"DepthMap: non-finite value at pixel {bad}")
-        if np.any(arr < 0.0):
-            bad = int(np.flatnonzero(arr.reshape(-1) < 0.0)[0])
-            raise ValidationError(f"DepthMap: negative depth at pixel {bad}")
+        # As unsigned bits, exactly the finite floats >= +0.0 lie below +inf's
+        # pattern, so one reduction accepts a valid raster.  Anything else
+        # (NaN, +-inf, a negative value, or -0.0, which is valid) goes to the
+        # full scan, which names the first bad pixel.
+        if arr.view(np.uint32).max() >= _FLOAT32_INF_BITS:
+            if not np.all(np.isfinite(arr)):
+                bad = int(np.flatnonzero(~np.isfinite(arr.reshape(-1)))[0])
+                raise ValidationError(f"DepthMap: non-finite value at pixel {bad}")
+            if np.any(arr < 0.0):
+                bad = int(np.flatnonzero(arr.reshape(-1) < 0.0)[0])
+                raise ValidationError(f"DepthMap: negative depth at pixel {bad}")
         object.__setattr__(self, "values", arr)
 
 
@@ -346,14 +355,20 @@ def load_depth(path: str | Path) -> DepthMap:
             raise ParseError(f"{path}: expected magic {DEPTH_MAGIC!r}, got {magic!r}")
         if width <= 0 or height <= 0:
             raise ParseError(f"{path}: non-positive dimensions {width}x{height}")
-        payload = f.read()
-    expected = width * height * 4
-    if len(payload) != expected:
+        expected = width * height * 4
+        # Size the payload before allocating, so a huge declared raster is
+        # a ParseError and not a MemoryError, then read it straight into a
+        # fresh array; a short read means the file shrank in between.
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size == expected:
+            values = np.empty((height, width), dtype="<f4")
+            size = f.readinto(values)
+    if size != expected:
         raise ParseError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} "
+            f"{path}: payload is {size} bytes, expected {expected} "
             f"for {width}x{height}"
         )
-    values = np.frombuffer(payload, dtype="<f4").reshape(height, width)
+    values.flags.writeable = False
     return DepthMap(width=width, height=height, values=values)
 
 

@@ -229,8 +229,11 @@ def test_read_tracks_header_that_is_not_an_object_names_file_and_line(tmp_path, 
 # Scene documents
 # ---------------------------------------------------------------------------
 
+JOINTS = [[0.0, 1.0, 2.0 + j] for j in range(BASIC15.joint_count)]
+
+
 def _scene():
-    sample = {"frame": 3, "state": "observed", "joints": [[0.0, 1.0, 2.0]]}
+    sample = {"frame": 3, "state": "observed", "joints": JOINTS}
     return {"metadata": {"fps": 20.0, "skeleton": BASIC15.name, "units": "meters",
                          "engine_version": "0.1.0"},
             "actors": [{"id": 1, "birth": 3, "samples": [sample]}]}
@@ -244,7 +247,7 @@ def _scene_file(tmp_path, scene):
 
 def test_read_scene_accepts_the_valid_document(tmp_path):
     doc = read_scene(_scene_file(tmp_path, _scene()))
-    assert doc.actors[0].samples[0].joints.tolist() == [[0.0, 1.0, 2.0]]
+    assert doc.actors[0].samples[0].joints.tolist() == JOINTS
 
 
 def test_read_scene_invalid_json_names_file_and_line(tmp_path):
@@ -284,4 +287,36 @@ def test_read_scene_unknown_state_names_file(tmp_path):
     scene = _scene()
     scene["actors"][0]["samples"][0]["state"] = "guessed"
     with pytest.raises(ValidationError, match=r"scene.json: actor 1 frame 3: unknown state 'guessed'"):
+        read_scene(_scene_file(tmp_path, scene))
+
+
+@pytest.mark.parametrize("joints, shape", [
+    ([1.0, 2.0], "(2,)"),
+    ([[0.0, 1.0, 2.0]], "(1, 3)"),
+    ([[0.0, 1.0]] * 15, "(15, 2)"),
+    ([[0.0, 1.0, 2.0, 3.0]] * 15, "(15, 4)"),
+    ([[[0.0, 1.0, 2.0]]] * 15, "(15, 1, 3)"),
+])
+def test_read_scene_joints_of_the_wrong_shape_name_file_actor_and_frame(tmp_path, joints, shape):
+    scene = _scene()
+    scene["actors"][0]["samples"][0]["joints"] = joints
+    with pytest.raises(ValidationError) as exc:
+        read_scene(_scene_file(tmp_path, scene))
+    assert str(exc.value).endswith(
+        f"scene.json: actor 1 frame 3: joints must have shape (15, 3), got {shape}")
+
+
+@pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+def test_read_scene_rejects_bad_fps_naming_file(tmp_path, fps):
+    scene = _scene()
+    scene["metadata"]["fps"] = fps
+    with pytest.raises(ValidationError) as exc:
+        read_scene(_scene_file(tmp_path, scene))
+    assert str(exc.value).endswith("scene.json: SceneDocument: fps must be finite and > 0")
+
+
+def test_read_scene_unknown_skeleton_names_file(tmp_path):
+    scene = _scene()
+    scene["metadata"]["skeleton"] = "coco17"
+    with pytest.raises(ValidationError, match=r"scene.json: unknown skeleton_id 'coco17'"):
         read_scene(_scene_file(tmp_path, scene))

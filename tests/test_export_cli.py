@@ -228,3 +228,39 @@ def test_cli_mode_override_changes_association(tmp_path, capsys):
     assert results["iou3d"]["id_switches"] == 0
     assert results["iou2d"]["id_switches"] >= 1
     assert results["iou2d"]["mota"] < results["iou3d"]["mota"]
+
+
+def _tracks_file(tmp_path, fps):
+    seq, _ = generate(builtin("parallel_walk"))
+    tracks = run_sequence(seq, TrackerConfig())
+    path = tmp_path / "tracks.jsonl"
+    write_tracks(path, tracks, skeleton_id=BASIC15.name, fps=fps)
+    return path
+
+
+@pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-5"])
+def test_cli_export_rejects_bad_fps_flag(tmp_path, capsys, fps):
+    scene_path = tmp_path / "scene.json"
+    code = run_cli("export", "--tracks", str(_tracks_file(tmp_path, 20.0)),
+                   "--out", str(scene_path), f"--fps={fps}")
+    assert code == 1
+    assert capsys.readouterr().err == "error: SceneDocument: fps must be finite and > 0\n"
+    assert not scene_path.exists()
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -5.0])
+def test_cli_export_rejects_bad_header_fps(tmp_path, capsys, fps):
+    scene_path = tmp_path / "scene.json"
+    code = run_cli("export", "--tracks", str(_tracks_file(tmp_path, fps)),
+                   "--out", str(scene_path))
+    assert code == 1
+    assert capsys.readouterr().err == "error: SceneDocument: fps must be finite and > 0\n"
+    assert not scene_path.exists()
+
+
+def test_cli_export_fps_flag_overrides_bad_header_fps(tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    code = run_cli("export", "--tracks", str(_tracks_file(tmp_path, float("nan"))),
+                   "--out", str(scene_path), "--fps", "12.5")
+    assert code == 0
+    assert read_scene(scene_path).fps == 12.5

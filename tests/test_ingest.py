@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +136,71 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"DEPT 1 1\n" + b"\x00" * 4)
     with pytest.raises(ParseError, match="magic"):
         load_depth(path)
+
+
+def _payload_error(path, size, expected, dims):
+    return f"{path}: payload is {size} bytes, expected {expected} for {dims}"
+
+
+def test_huge_declared_depth_size_is_a_parse_error_not_an_allocation(tmp_path):
+    path = tmp_path / "huge.dpt"
+    path.write_bytes(b"DPTH 1000000000 1000000000\n" + b"\x00" * 16)
+    with pytest.raises(ParseError) as exc:
+        load_depth(path)
+    assert str(exc.value) == _payload_error(
+        path, 16, 4_000_000_000_000_000_000, "1000000000x1000000000")
+
+
+@pytest.mark.parametrize("payload", [17, 0, 15, 20])
+def test_depth_payload_of_the_wrong_size_gives_its_size(tmp_path, payload):
+    path = tmp_path / "bad.dpt"
+    path.write_bytes(b"DPTH 2 2\n" + b"\x00" * payload)
+    with pytest.raises(ParseError) as exc:
+        load_depth(path)
+    assert str(exc.value) == _payload_error(path, payload, 16, "2x2")
+
+
+def test_depth_file_that_shrinks_after_sizing_gives_the_bytes_read(tmp_path, monkeypatch):
+    path = tmp_path / "shrunk.dpt"
+    path.write_bytes(b"DPTH 2 2\n" + b"\x00" * 12)
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 4))
+    with pytest.raises(ParseError) as exc:
+        load_depth(path)
+    assert str(exc.value) == _payload_error(path, 12, 16, "2x2")
+
+
+@pytest.mark.parametrize("bad, pixel, message", [
+    (np.inf, 2, "non-finite value"), (-np.inf, 1, "non-finite value"),
+    (-4.0, 3, "negative depth"), (-np.finfo(np.float32).tiny, 0, "negative depth"),
+])
+def test_bad_depth_value_names_its_pixel(tmp_path, bad, pixel, message):
+    values = np.array([1.0, 0.0, 3.0, 4.0], dtype="<f4")
+    values[pixel] = bad
+    path = tmp_path / "bad.dpt"
+    path.write_bytes(b"DPTH 2 2\n" + values.tobytes())
+    with pytest.raises(ValidationError) as exc:
+        load_depth(path)
+    assert str(exc.value) == f"DepthMap: {message} at pixel {pixel}"
+
+
+def test_all_negative_zero_depth_loads(tmp_path):
+    path = tmp_path / "zeros.dpt"
+    path.write_bytes(b"DPTH 3 2\n" + np.full(6, -0.0, dtype="<f4").tobytes())
+    loaded = load_depth(path)
+    assert loaded.values.shape == (2, 3)
+    assert np.signbit(loaded.values).all() and (loaded.values == 0.0).all()
+
+
+def test_loaded_depth_is_read_only_and_never_shared(tmp_path):
+    path = tmp_path / "0.dpt"
+    write_depth(path, DepthMap(width=3, height=2, values=np.arange(6, dtype=np.float32).reshape(2, 3)))
+    first, second = load_depth(path), load_depth(path)
+    assert not first.values.flags.writeable
+    with pytest.raises(ValueError):
+        first.values[0, 0] = 1.0
+    assert not np.shares_memory(first.values, second.values)
+    np.testing.assert_array_equal(first.values, second.values)
 
 
 # ---------------------------------------------------------------------------
