@@ -565,8 +565,8 @@ class LiftingConfig:
     lifter: LifterSpec = field(default_factory=LifterSpec)
 
     def __post_init__(self):
-        if self.min_thickness <= 0.0:
-            raise ValidationError("LiftingConfig: min_thickness must be > 0")
+        if not (math.isfinite(self.min_thickness) and self.min_thickness > 0.0):
+            raise ValidationError("LiftingConfig: min_thickness must be finite and > 0")
         if not (0.0 <= self.depth_percentile < 50.0):
             raise ValidationError("LiftingConfig: depth_percentile must be in [0, 50)")
 
@@ -583,10 +583,11 @@ class TrackerConfig:
     def __post_init__(self):
         if not (0.0 <= self.iou_gate <= 1.0):
             raise ValidationError("TrackerConfig: iou_gate outside [0, 1]")
-        if self.max_gap < 0:
-            raise ValidationError("TrackerConfig: max_gap must be >= 0")
-        if self.predictor_window < 1:
-            raise ValidationError("TrackerConfig: predictor_window must be >= 1")
+        # type() rather than isinstance(): a bool (JSON true) is not a count.
+        if type(self.max_gap) is not int or self.max_gap < 0:
+            raise ValidationError("TrackerConfig: max_gap must be an int >= 0")
+        if type(self.predictor_window) is not int or self.predictor_window < 1:
+            raise ValidationError("TrackerConfig: predictor_window must be an int >= 1")
         if self.association_mode not in ("iou3d", "iou2d"):
             raise ValidationError(
                 f"TrackerConfig: unknown association_mode {self.association_mode!r}"
@@ -601,8 +602,8 @@ class MetricConfig:
     tau: float = 0.15
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.tau <= 0.0:
-            raise ValidationError("MetricConfig: radius and tau must be > 0")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.radius, self.tau)):
+            raise ValidationError("MetricConfig: radius and tau must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ threshold, plus its mean over a fixed threshold grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,11 @@ class PckReport:
 # Frame matching
 # ---------------------------------------------------------------------------
 
+def _check_radius(radius: float) -> None:
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise EvaluationError("match radius must be finite and > 0")
+
+
 def match_frame(
     gts: list[tuple[int, Pose3D]],
     preds: list[tuple[int, Pose3D]],
@@ -125,8 +131,7 @@ def match_frame(
     Maximizes the number of pairs within `radius`, minimizing total root
     distance among them; ties break toward the lowest gt_id.
     """
-    if radius <= 0.0:
-        raise EvaluationError("match radius must be > 0")
+    _check_radius(radius)
     if not gts or not preds:
         return []
     gts = sorted(gts, key=lambda g: g[0])
@@ -224,20 +229,6 @@ def mota(gt: GroundTruth, tracks: list[Track], radius: float = 0.5) -> MotReport
 # 3D PCK
 # ---------------------------------------------------------------------------
 
-def _root_aligned_errors(gt_pose: Pose3D, pred_pose: Pose3D) -> tuple[np.ndarray, np.ndarray]:
-    """Per-joint Euclidean error after translating the prediction's root onto
-    the ground-truth root; returns (errors, gt_valid mask)."""
-    if gt_pose.skeleton_id != pred_pose.skeleton_id:
-        raise EvaluationError(
-            f"skeleton mismatch: {gt_pose.skeleton_id!r} vs {pred_pose.skeleton_id!r}"
-        )
-    shift = gt_pose.root - pred_pose.root
-    aligned = pred_pose.joints[:, :3] + shift
-    errors = np.linalg.norm(aligned - gt_pose.joints[:, :3], axis=1)
-    valid = gt_pose.joints[:, 3] > 0.0
-    return errors, valid
-
-
 def pck3d_rel(
     pairs: list[tuple[Pose3D, Pose3D]],
     tau: float = 0.15,
@@ -245,37 +236,44 @@ def pck3d_rel(
 ) -> PckReport:
     """Root-aligned percentage of correct keypoints over matched pose pairs.
 
-    A joint is correct iff its error is <= tau (boundary inclusive); only
-    joints valid in the ground truth are counted.
+    Each prediction is translated so its root lands on the ground-truth root
+    (each pose's root through its own ``root_index``).  A joint is correct
+    iff its error is <= tau (boundary inclusive); only joints valid in the
+    ground truth are counted.  All pairs are scored in one batched pass.
     """
-    if tau <= 0.0:
-        raise EvaluationError("tau must be > 0")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise EvaluationError("tau must be finite and > 0")
     if not pairs:
         raise EvaluationError("no matched pose pairs to score")
     skel = get_skeleton(pairs[0][0].skeleton_id)
-    all_errors = []
-    all_valid = []
     for gt_pose, pred_pose in pairs:
-        errors, valid = _root_aligned_errors(gt_pose, pred_pose)
-        all_errors.append(errors)
-        all_valid.append(valid)
-    errors = np.stack(all_errors)  # (pairs, joints)
-    valid = np.stack(all_valid)
+        if gt_pose.skeleton_id != pred_pose.skeleton_id:
+            raise EvaluationError(
+                f"skeleton mismatch: {gt_pose.skeleton_id!r} vs {pred_pose.skeleton_id!r}"
+            )
+    gt = np.stack([g.joints for g, _ in pairs])  # (pairs, joints, 4)
+    pred = np.stack([p.joints for _, p in pairs])
+    rows = np.arange(len(pairs))
+    shift = (gt[rows, [g.root_index for g, _ in pairs], :3]
+             - pred[rows, [p.root_index for _, p in pairs], :3])
+    aligned = pred[:, :, :3] + shift[:, None, :]
+    errors = np.linalg.norm(aligned - gt[:, :, :3], axis=2)  # (pairs, joints)
+    valid = gt[:, :, 3] > 0.0
     total = int(valid.sum())
     if total == 0:
         raise EvaluationError("ground truth has no valid joints")
-    correct = int(((errors <= tau) & valid).sum())
+    joint_totals = valid.sum(axis=0)
+    joint_correct = ((errors <= tau) & valid).sum(axis=0)
+    correct = int(joint_correct.sum())
 
     per_joint: dict[str, float] = {}
-    for j, name in enumerate(skel.joint_names):
-        jt = int(valid[:, j].sum())
+    for name, jt, jc in zip(skel.joint_names, joint_totals.tolist(), joint_correct.tolist()):
         if jt:
-            per_joint[name] = 100.0 * int(((errors[:, j] <= tau) & valid[:, j]).sum()) / jt
+            per_joint[name] = 100.0 * jc / jt
     auc = None
     if with_auc:
-        auc = float(np.mean([
-            100.0 * ((errors <= t) & valid).sum() / total for t in AUC_THRESHOLDS
-        ]))
+        within = np.searchsorted(np.sort(errors[valid]), AUC_THRESHOLDS, side="right")
+        auc = float(np.mean(100.0 * within / total))
     return PckReport(
         pck_rel=100.0 * correct / total,
         auc_rel=auc,
@@ -298,6 +296,7 @@ def matched_pose_pairs(
     observed_only: bool = False,
 ) -> list[tuple[Pose3D, Pose3D]]:
     """Frame-wise root-distance matching, returning (gt, prediction) pairs."""
+    _check_radius(radius)
     preds_by_frame = _poses_by_frame(tracks, observed_only)
     pairs: list[tuple[Pose3D, Pose3D]] = []
     for frame in gt.frame_indices:

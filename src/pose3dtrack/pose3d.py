@@ -39,7 +39,7 @@ class Pose3D:
                 f"Pose3D: expected {skel.joint_count}x4 joints for "
                 f"{self.skeleton_id!r}, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("Pose3D: non-finite joint value")
         if not (0 <= self.root_index < skel.joint_count):
             raise ValidationError(f"Pose3D: root_index {self.root_index} out of range")
@@ -177,7 +177,10 @@ def make_lifter(spec: LifterSpec, lifting: LiftingConfig) -> Lifter:
 
 
 def _depth_median_factory(params: dict, lifting: LiftingConfig) -> Lifter:
-    patch = int(params.get("patch", 5))
+    patch = params.get("patch", 5)
+    if type(patch) is not int or patch < 1 or patch % 2 == 0:  # bool is not int here
+        raise ValidationError(
+            f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
 
     def lifter(det: Detection, depth: DepthMap, cam: CameraModel,
                support: Support | None = None) -> Pose3D:

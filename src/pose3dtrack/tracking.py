@@ -27,6 +27,7 @@ from .ingest import (
     LiftingConfig,
     PredictorSpec,
     SequenceInput,
+    Skeleton,
     TrackerConfig,
     _json_lines,
     get_skeleton,
@@ -394,8 +395,38 @@ def write_tracks(
             f.write(json.dumps(obj) + "\n")
 
 
+def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:
+    """One track's states from one (S, 6) box array and one (S, J, 4) joint
+    array, each checked with one reduction; None when any state would fail
+    a check of the per-state reading, which then raises that state's error.
+
+    Values convert as in the per-state reading (``float()`` and NumPy's
+    float64 cast agree on numbers, numeric strings and bools).
+    """
+    try:
+        kinds = [s["kind"] for s in states]
+        frames = [int(s["frame"]) for s in states]
+        boxes = np.array([s["box3d"] for s in states], dtype=np.float64)
+        joints = np.array([s["pose3d"] for s in states], dtype=np.float64)
+        known = set(kinds) <= {OBSERVED, PREDICTED}
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    n = len(frames)
+    if not (known and boxes.shape == (n, 6) and joints.shape == (n, skel.joint_count, 4)
+            and np.isfinite(joints).all() and (boxes[:, 0::2] < boxes[:, 1::2]).all()):
+        return None
+    return [TrackState(frame, kind, Box3D(*box),
+                       Pose3D(joints=pose, root_index=skel.root_index, skeleton_id=skel.name))
+            for frame, kind, box, pose in zip(frames, kinds, boxes.tolist(), joints)]
+
+
 def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
-    """Read a tracks (or ground-truth) file; returns (header, tracks)."""
+    """Read a tracks (or ground-truth) file; returns (header, tracks).
+
+    Each track's states are read as two arrays; a track with a bad state is
+    read again state by state, so the error names the first bad state's
+    fault.  The poses of one track are rows of one joint array.
+    """
     path = Path(path)
     header: dict = {}
     tracks: list[Track] = []
@@ -407,18 +438,22 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                     raise ParseError(f"{path}: header is not a JSON object", line=lineno)
                 continue
             skeleton_id = header.get("skeleton", "basic15")
-            root_index = get_skeleton(skeleton_id).root_index
+            skel = get_skeleton(skeleton_id)
             track = Track(track_id=int(obj["id"]), birth_frame=int(obj["birth"]))
-            for s in obj["states"]:
-                if s["kind"] not in (OBSERVED, PREDICTED):
-                    raise ParseError(
-                        f"{path}: unknown state kind {s['kind']!r}", line=lineno)
-                track.states.append(TrackState(
-                    frame_index=int(s["frame"]),
-                    kind=s["kind"],
-                    box3d=Box3D.from_array(s["box3d"]),
-                    pose3d=_pose_from_list(s["pose3d"], skeleton_id, root_index),
-                ))
+            states = _states_from_arrays(obj["states"], skel)
+            if states is None:  # a state is bad: read state by state to name it
+                states = []
+                for s in obj["states"]:
+                    if s["kind"] not in (OBSERVED, PREDICTED):
+                        raise ParseError(
+                            f"{path}: unknown state kind {s['kind']!r}", line=lineno)
+                    states.append(TrackState(
+                        frame_index=int(s["frame"]),
+                        kind=s["kind"],
+                        box3d=Box3D.from_array(s["box3d"]),
+                        pose3d=_pose_from_list(s["pose3d"], skeleton_id, skel.root_index),
+                    ))
+            track.states = states
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
         except ValidationError as e:

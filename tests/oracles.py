@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
-from pose3dtrack.errors import ValidationError
+from pose3dtrack.errors import EvaluationError, ParseError, ValidationError
+from pose3dtrack.geometry import Box3D
+from pose3dtrack.ingest import _json_lines, get_skeleton
+from pose3dtrack.metrics import AUC_THRESHOLDS, PckReport
+from pose3dtrack.tracking import OBSERVED, PREDICTED, Track, TrackState, _pose_from_list
 
 
 def iou3d_cell_oracle(a, b) -> float:
@@ -393,3 +398,99 @@ def scene_to_dict(doc) -> dict:
             for actor in doc.actors
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# Pose accuracy and tracks-file reading, one pair or state at a time
+#
+# ``metrics.pck3d_rel`` scores every pair in one batched pass and
+# ``tracking.read_tracks`` reads each track as two arrays.  These are the
+# original per-pair and per-state loops, which must give equal reports and
+# tracks, and the same exception type and text.
+# ---------------------------------------------------------------------------
+
+def _root_aligned_errors(gt_pose, pred_pose):
+    """Per-joint Euclidean error after translating the prediction's root onto
+    the ground-truth root; returns (errors, gt_valid mask)."""
+    if gt_pose.skeleton_id != pred_pose.skeleton_id:
+        raise EvaluationError(
+            f"skeleton mismatch: {gt_pose.skeleton_id!r} vs {pred_pose.skeleton_id!r}"
+        )
+    shift = gt_pose.root - pred_pose.root
+    aligned = pred_pose.joints[:, :3] + shift
+    errors = np.linalg.norm(aligned - gt_pose.joints[:, :3], axis=1)
+    valid = gt_pose.joints[:, 3] > 0.0
+    return errors, valid
+
+
+def reference_pck3d_rel(pairs, tau=0.15, with_auc=True):
+    """The original ``metrics.pck3d_rel``, one pair at a time."""
+    if tau <= 0.0:
+        raise EvaluationError("tau must be > 0")
+    if not pairs:
+        raise EvaluationError("no matched pose pairs to score")
+    skel = get_skeleton(pairs[0][0].skeleton_id)
+    all_errors = []
+    all_valid = []
+    for gt_pose, pred_pose in pairs:
+        errors, valid = _root_aligned_errors(gt_pose, pred_pose)
+        all_errors.append(errors)
+        all_valid.append(valid)
+    errors = np.stack(all_errors)  # (pairs, joints)
+    valid = np.stack(all_valid)
+    total = int(valid.sum())
+    if total == 0:
+        raise EvaluationError("ground truth has no valid joints")
+    correct = int(((errors <= tau) & valid).sum())
+
+    per_joint: dict[str, float] = {}
+    for j, name in enumerate(skel.joint_names):
+        jt = int(valid[:, j].sum())
+        if jt:
+            per_joint[name] = 100.0 * int(((errors[:, j] <= tau) & valid[:, j]).sum()) / jt
+    auc = None
+    if with_auc:
+        auc = float(np.mean([
+            100.0 * ((errors <= t) & valid).sum() / total for t in AUC_THRESHOLDS
+        ]))
+    return PckReport(
+        pck_rel=100.0 * correct / total,
+        auc_rel=auc,
+        tau=tau,
+        joints_total=total,
+        joints_correct=correct,
+        per_joint=per_joint,
+    )
+
+
+def reference_read_tracks(path):
+    """The original ``tracking.read_tracks``, one state at a time."""
+    path = Path(path)
+    header: dict = {}
+    tracks: list[Track] = []
+    for lineno, obj in _json_lines(path):
+        try:
+            if "header" in obj:
+                header = obj["header"]
+                if not isinstance(header, dict):
+                    raise ParseError(f"{path}: header is not a JSON object", line=lineno)
+                continue
+            skeleton_id = header.get("skeleton", "basic15")
+            root_index = get_skeleton(skeleton_id).root_index
+            track = Track(track_id=int(obj["id"]), birth_frame=int(obj["birth"]))
+            for s in obj["states"]:
+                if s["kind"] not in (OBSERVED, PREDICTED):
+                    raise ParseError(
+                        f"{path}: unknown state kind {s['kind']!r}", line=lineno)
+                track.states.append(TrackState(
+                    frame_index=int(s["frame"]),
+                    kind=s["kind"],
+                    box3d=Box3D.from_array(s["box3d"]),
+                    pose3d=_pose_from_list(s["pose3d"], skeleton_id, root_index),
+                ))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
+        except ValidationError as e:
+            raise ValidationError(f"{path}: line {lineno}: {e}") from None
+        tracks.append(track)
+    return header, tracks

@@ -1,6 +1,6 @@
 """Input validation at the file and config boundary: camera intrinsics, fps,
-depth directory names, detection records, tracks-file records and scene
-documents."""
+depth directory names, detection records, tracks-file records, scene
+documents, and metric, tracker and lifter numbers."""
 
 import json
 import math
@@ -8,19 +8,25 @@ import math
 import numpy as np
 import pytest
 
-from pose3dtrack.errors import ParseError, ValidationError
+from pose3dtrack.cli import main as cli_main
+from pose3dtrack.errors import EvaluationError, ParseError, ValidationError
 from pose3dtrack.export import read_scene
+from pose3dtrack.geometry import Box3D
 from pose3dtrack.ingest import (
     BASIC15,
     CameraModel,
     DepthMap,
+    LifterSpec,
+    LiftingConfig,
     config_from_dict,
     load_config,
     load_sequence,
     parse_detections,
     write_depth,
 )
-from pose3dtrack.tracking import OBSERVED, read_tracks
+from pose3dtrack.metrics import ground_truth_from_tracks, match_frame, matched_pose_pairs, mota
+from pose3dtrack.pose3d import Pose3D, make_lifter
+from pose3dtrack.tracking import OBSERVED, Track, TrackState, read_tracks, write_tracks
 
 CAMERA = {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0}
 
@@ -320,3 +326,145 @@ def test_read_scene_unknown_skeleton_names_file(tmp_path):
     scene["metadata"]["skeleton"] = "coco17"
     with pytest.raises(ValidationError, match=r"scene.json: unknown skeleton_id 'coco17'"):
         read_scene(_scene_file(tmp_path, scene))
+
+
+# ---------------------------------------------------------------------------
+# Metric, tracker and lifter numbers
+# ---------------------------------------------------------------------------
+
+BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+RADIUS_MESSAGE = "match radius must be finite and > 0"
+TAU_MESSAGE = "tau must be finite and > 0"
+
+
+def _one_person_tracks():
+    joints = np.column_stack([np.zeros((BASIC15.joint_count, 3)), np.ones(BASIC15.joint_count)])
+    joints[:, 2] = 2.0
+    pose = Pose3D(joints=joints, root_index=BASIC15.root_index, skeleton_id=BASIC15.name)
+    box = Box3D(-0.5, 0.5, -1.0, 1.0, 1.8, 2.2)
+    track = Track(track_id=0, birth_frame=0,
+                  states=[TrackState(f, OBSERVED, box, pose) for f in range(3)])
+    return [track]
+
+
+@pytest.mark.parametrize("radius", BAD_POSITIVE)
+def test_matching_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    tracks = _one_person_tracks()
+    gt = ground_truth_from_tracks(tracks)
+    entries = gt.frames[0]
+    for call in (lambda: match_frame(entries, entries, radius),
+                 lambda: match_frame([], [], radius),
+                 lambda: mota(gt, tracks, radius=radius),
+                 lambda: matched_pose_pairs(gt, tracks, radius=radius),
+                 lambda: matched_pose_pairs(ground_truth_from_tracks([]), tracks, radius=radius)):
+        with pytest.raises(EvaluationError) as info:
+            call()
+        assert str(info.value) == RADIUS_MESSAGE
+
+
+@pytest.fixture
+def tracks_pair(tmp_path):
+    path = tmp_path / "tracks.jsonl"
+    write_tracks(path, _one_person_tracks(), skeleton_id=BASIC15.name, fps=20.0)
+    return path
+
+
+@pytest.mark.parametrize("metric", ["mota", "pck3d", "auc"])
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0"])
+def test_eval_cli_rejects_a_bad_radius_with_exit_code_1(tracks_pair, capsys, metric, radius):
+    argv = ["eval", "--tracks", str(tracks_pair), "--gt", str(tracks_pair),
+            "--metric", metric, f"--radius={radius}"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {RADIUS_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0"])
+def test_eval_cli_rejects_a_bad_tau_with_exit_code_1(tracks_pair, capsys, tau):
+    argv = ["eval", "--tracks", str(tracks_pair), "--gt", str(tracks_pair),
+            "--metric", "pck3d", f"--tau={tau}"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {TAU_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("field", ["radius", "tau"])
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+def test_metric_config_rejects_numbers_that_are_not_finite_and_positive(field, value):
+    with pytest.raises(ValidationError) as info:
+        config_from_dict({"camera": CAMERA, "metrics": {field: value}})
+    assert str(info.value) == "MetricConfig: radius and tau must be finite and > 0"
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+def test_lifting_config_rejects_a_min_thickness_that_is_not_finite_and_positive(value):
+    with pytest.raises(ValidationError) as info:
+        config_from_dict({"camera": CAMERA, "lifting": {"min_thickness": value}})
+    assert str(info.value) == "LiftingConfig: min_thickness must be finite and > 0"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_gap", 2.5, "max_gap must be an int >= 0"),
+    ("max_gap", True, "max_gap must be an int >= 0"),
+    ("max_gap", "3", "max_gap must be an int >= 0"),
+    ("max_gap", -1, "max_gap must be an int >= 0"),
+    ("predictor_window", 2.5, "predictor_window must be an int >= 1"),
+    ("predictor_window", 2.0, "predictor_window must be an int >= 1"),
+    ("predictor_window", False, "predictor_window must be an int >= 1"),
+    ("predictor_window", None, "predictor_window must be an int >= 1"),
+    ("predictor_window", 0, "predictor_window must be an int >= 1"),
+])
+def test_tracker_config_counts_must_be_ints(field, value, message):
+    with pytest.raises(ValidationError) as info:
+        config_from_dict({"camera": CAMERA, "tracker": {field: value}})
+    assert str(info.value) == f"TrackerConfig: {message}"
+
+
+def test_tracker_config_counts_accept_ints_at_their_bounds():
+    cfg = config_from_dict({"camera": CAMERA, "tracker": {"max_gap": 0, "predictor_window": 1}})
+    assert (cfg.tracker.max_gap, cfg.tracker.predictor_window) == (0, 1)
+
+
+@pytest.mark.parametrize("patch", [4, 0, -1, -3, True, False, 5.7, 5.0, "5", None])
+def test_depth_median_lifter_checks_its_patch_when_built(patch):
+    spec = LifterSpec("depth_median", {"patch": patch})
+    with pytest.raises(ValidationError) as info:
+        make_lifter(spec, LiftingConfig())
+    assert str(info.value) == (
+        f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
+
+
+@pytest.mark.parametrize("patch", [1, 3, 7])
+def test_depth_median_lifter_accepts_odd_int_patches(patch):
+    assert callable(make_lifter(LifterSpec("depth_median", {"patch": patch}), LiftingConfig()))
+
+
+@pytest.fixture(scope="module")
+def parallel_walk(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scene")
+    assert cli_main(["synth", "--scenario", "parallel_walk", "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("section, field, value, message", [
+    ("tracker", "predictor_window", 2.5, "TrackerConfig: predictor_window must be an int >= 1"),
+    ("tracker", "max_gap", True, "TrackerConfig: max_gap must be an int >= 0"),
+    ("lifting", "min_thickness", math.nan,
+     "LiftingConfig: min_thickness must be finite and > 0"),
+    ("metrics", "tau", math.inf, "MetricConfig: radius and tau must be finite and > 0"),
+    ("lifting", "lifter", {"name": "depth_median", "parameters": {"patch": 4}},
+     "lifter 'depth_median': patch must be an odd int >= 1, got 4"),
+])
+def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
+        parallel_walk, tmp_path, capsys, section, field, value, message):
+    config = json.loads((parallel_walk / "config.json").read_text())
+    config.setdefault(section, {})[field] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    argv = ["track", "--detections", str(parallel_walk / "detections.jsonl"),
+            "--depth-dir", str(parallel_walk / "depth"), "--config", str(config_path),
+            "--out", str(tmp_path / "tracks.jsonl")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "tracks.jsonl").exists()
