@@ -23,10 +23,14 @@ class Box3D:
     z_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max
-                and self.z_min < self.z_max):
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf
+                and -math.inf < self.z_min < self.z_max < math.inf):
+            degenerate = not (self.x_min < self.x_max and self.y_min < self.y_max
+                              and self.z_min < self.z_max)
             raise ValidationError(
-                f"Box3D: degenerate extents x[{self.x_min}, {self.x_max}] "
+                f"Box3D: {'degenerate' if degenerate else 'infinite'} extents "
+                f"x[{self.x_min}, {self.x_max}] "
                 f"y[{self.y_min}, {self.y_max}] z[{self.z_min}, {self.z_max}]"
             )
 
@@ -49,41 +53,6 @@ class Box3D:
     def from_array(arr) -> "Box3D":
         x0, x1, y0, y1, z0, z1 = (float(v) for v in arr)
         return Box3D(x0, x1, y0, y1, z0, z1)
-
-
-@dataclass(frozen=True)
-class Support:
-    """One detection's depth support, cropped to the smallest rectangle that
-    holds both its mask and its clamped integer box.
-
-    ``depth``, ``mask`` and ``box`` are (h, w) arrays whose pixel (0, 0) is
-    frame pixel (row0, col0); ``z_min``/``z_max`` are the (percentile-clipped)
-    extrema of the valid depths over mask ∩ box.
-    """
-
-    row0: int
-    col0: int
-    depth: np.ndarray  # float32 depth crop
-    mask: np.ndarray  # bool: decoded mask
-    box: np.ndarray  # bool: pixels inside the clamped box
-    z_min: float
-    z_max: float
-
-    @property
-    def z_mid(self) -> float:
-        return (self.z_min + self.z_max) / 2.0
-
-
-def _mask_columns(mask: Mask2D) -> tuple[int, int]:
-    """First and last column the mask covers, from its runs: a run inside one
-    row covers its own columns, one that crosses a row boundary all of them.
-    ``(width, -1)`` for a mask without runs."""
-    w = mask.width
-    first = mask.runs[:, 0] % w
-    last = int((first + mask.runs[:, 1]).max(initial=0)) - 1
-    if last >= w:
-        return 0, w - 1
-    return int(first.min(initial=w)), last
 
 
 def _linear_percentile(ordered: np.ndarray, q: float) -> float:
@@ -111,57 +80,35 @@ def clipped_extrema(vals: np.ndarray, percentile: float = 0.0) -> tuple[float, f
             _linear_percentile(vals, (100.0 - percentile) / 100))
 
 
-def depth_support(
-    depth: DepthMap,
-    mask: Mask2D,
-    box: Box2D,
-    percentile: float = 0.0,
-) -> Support:
-    """Build the per-detection support that :func:`lift_box` and
-    :func:`~pose3dtrack.pose3d.lift_pose` share; see :func:`depth_extrema`."""
-    if (mask.width, mask.height) != (depth.width, depth.height):
-        raise ValidationError(
-            f"mask is {mask.width}x{mask.height} but depth is "
-            f"{depth.width}x{depth.height}"
-        )
-    w = depth.width
-    clamped = box.clamp(depth.width, depth.height)
-    bc0, bc1 = math.ceil(clamped.x_min), math.floor(clamped.x_max)
-    br0, br1 = math.ceil(clamped.y_min), math.floor(clamped.y_max)
-    idx = mask_indices(mask)
-    r0, r1, c0, c1 = br0, br1, bc0, bc1
-    if idx.size:
-        mc0, mc1 = _mask_columns(mask)
-        r0, r1 = min(r0, int(idx[0]) // w), max(r1, int(idx[-1]) // w)
-        c0, c1 = min(c0, mc0), max(c1, mc1)
-    band = np.zeros(max(r1 - r0 + 1, 0) * w, dtype=bool)
-    band[idx - r0 * w] = True
-    mask_crop = band.reshape(-1, w)[:, c0:c1 + 1]
-    box_crop = np.zeros_like(mask_crop)
-    box_crop[br0 - r0:br1 - r0 + 1, bc0 - c0:bc1 - c0 + 1] = True
-    depth_crop = depth.values[r0:r1 + 1, c0:c1 + 1]
-    vals = depth_crop[mask_crop & box_crop]
-    vals = vals[vals > 0.0]
-    if vals.size == 0:
-        raise EmptySupportError("no valid depth pixel inside mask ∩ box")
-    z_min, z_max = clipped_extrema(vals, percentile)
-    return Support(r0, c0, depth_crop, mask_crop, box_crop, z_min, z_max)
-
-
 def depth_extrema(
     depth: DepthMap,
     mask: Mask2D,
     box: Box2D,
     percentile: float = 0.0,
 ) -> tuple[float, float]:
-    """Near/far depth over the masked box region.
+    """Near/far depth (z_min, z_max) over the valid pixels of mask ∩ box.
 
     With percentile p > 0 the p-th and (100-p)-th percentiles are used
     instead of the absolute extrema, which keeps single outlier pixels from
-    inflating the person's depth span.
+    inflating the person's depth span.  Only the mask pixels on the box's
+    rows are decoded, and only the box's depths are read.
     """
-    support = depth_support(depth, mask, box, percentile=percentile)
-    return support.z_min, support.z_max
+    if (mask.width, mask.height) != (depth.width, depth.height):
+        raise ValidationError(
+            f"mask is {mask.width}x{mask.height} but depth is "
+            f"{depth.width}x{depth.height}"
+        )
+    w = depth.width
+    c0, c1, r0, r1 = box.pixel_bounds(w, depth.height)
+    idx = mask_indices(mask)
+    lo, hi = np.searchsorted(idx, (r0 * w, (r1 + 1) * w))
+    band = np.zeros((max(r1 - r0 + 1, 0), w), dtype=bool)  # mask on the box rows
+    band.reshape(-1)[idx[lo:hi] - r0 * w] = True
+    vals = depth.values[r0:r1 + 1, c0:c1 + 1][band[:, c0:c1 + 1]]
+    vals = vals[vals > 0.0]
+    if vals.size == 0:
+        raise EmptySupportError("no valid depth pixel inside mask ∩ box")
+    return clipped_extrema(vals, percentile)
 
 
 def lift_box(
@@ -171,18 +118,20 @@ def lift_box(
     cam: CameraModel,
     min_thickness: float = 0.2,
     percentile: float = 0.0,
-    support: Support | None = None,
+    extrema: tuple[float, float] | None = None,
 ) -> Box3D:
-    """Lift a 2D person box to a 3D box using its masked depth support.
+    """Lift a 2D person box to a 3D box using its masked depth span.
 
     The x/y extents back-project the 2D corners at the representative depth
     z_mid = (z_min + z_max) / 2; the z extent is the measured depth span,
-    inflated symmetrically to at least min_thickness.  A prebuilt ``support``
-    (from :func:`depth_support` with the same percentile) skips rebuilding it.
+    inflated symmetrically to at least min_thickness.  Precomputed
+    ``extrema`` (from :func:`depth_extrema` with the same percentile) skip
+    measuring the span again.
     """
-    if support is None:
-        support = depth_support(depth, mask, box, percentile=percentile)
-    z_min, z_max, z_mid = support.z_min, support.z_max, support.z_mid
+    if extrema is None:
+        extrema = depth_extrema(depth, mask, box, percentile=percentile)
+    z_min, z_max = extrema
+    z_mid = (z_min + z_max) / 2.0
     xa, ya = cam.back_project(box.x_min, box.y_min, z_mid)
     xb, yb = cam.back_project(box.x_max, box.y_max, z_mid)
     if z_max - z_min < min_thickness:

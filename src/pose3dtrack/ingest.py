@@ -139,6 +139,14 @@ class Box2D:
             raise ValidationError("Box2D: empty after clamping to image bounds")
         return Box2D(x0, y0, x1, y1)
 
+    def pixel_bounds(self, width: int, height: int) -> tuple[int, int, int, int]:
+        """Inclusive integer columns c0..c1 and rows r0..r1 of the pixels inside
+        the box clamped to a width x height frame, as (c0, c1, r0, r1); empty
+        (c0 > c1 or r0 > r1) when the clamped box holds no pixel centre."""
+        clamped = self.clamp(width, height)
+        return (math.ceil(clamped.x_min), math.floor(clamped.x_max),
+                math.ceil(clamped.y_min), math.floor(clamped.y_max))
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
@@ -288,9 +296,7 @@ class Detection:
 
 
 def _box_overlaps_mask(box: Box2D, mask: Mask2D) -> bool:
-    clamped = box.clamp(mask.width, mask.height)
-    c0, c1 = math.ceil(clamped.x_min), math.floor(clamped.x_max)
-    r0, r1 = math.ceil(clamped.y_min), math.floor(clamped.y_max)
+    c0, c1, r0, r1 = box.pixel_bounds(mask.width, mask.height)
     if c0 > c1 or r0 > r1:
         return False
     w = mask.width
@@ -548,14 +554,39 @@ def load_sequence(
 
 @dataclass(frozen=True)
 class LifterSpec:
+    """The pose lifter: ``depth_median`` (``pose3d.lift_pose``) with its
+    odd window size ``patch``, checked when the config is read."""
+
     name: str = "depth_median"
     parameters: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.name != "depth_median":
+            raise ValidationError(f"unknown lifter {self.name!r}")
+        if not isinstance(self.parameters, dict):
+            raise ValidationError(
+                f"lifter 'depth_median': parameters must be a JSON object, "
+                f"got {self.parameters!r}")
+        patch = self.patch
+        if type(patch) is not int or patch < 1 or patch % 2 == 0:  # bool is not int here
+            raise ValidationError(
+                f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
+
+    @property
+    def patch(self) -> int:
+        return self.parameters.get("patch", 5)
 
 
 @dataclass(frozen=True)
 class PredictorSpec:
+    """The trajectory predictor: ``linear`` (``tracking.predict``)."""
+
     name: str = "linear"
     parameters: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.name != "linear":
+            raise ValidationError(f"unknown predictor {self.name!r}")
 
 
 @dataclass(frozen=True)

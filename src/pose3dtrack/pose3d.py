@@ -1,24 +1,23 @@
 """2D keypoint lifting to world-frame 3D poses.
 
-The baseline lifter samples the depth map around each joint pixel instead of
+The lifter samples the depth map around each joint pixel instead of
 regressing root-relative offsets, so every output coordinate is traceable to
-input pixels.  Learned lifters can be registered under a ``LifterSpec`` name
-and slot in behind the same interface.
+input pixels.  It reads its windows straight from the frame's depth raster
+and the mask's runs; the only per-detection state it shares with
+:func:`~pose3dtrack.geometry.lift_box` is the person's depth span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import EmptySupportError, ValidationError
-from .geometry import Support, depth_support
-from .ingest import CameraModel, Detection, DepthMap, LifterSpec, LiftingConfig, get_skeleton
+from .geometry import depth_extrema
+from .ingest import Box2D, CameraModel, Detection, DepthMap, Mask2D, get_skeleton
 
-# Unused here; kept so per-layer tracing can still patch these names on pose3d.
-from .geometry import depth_extrema  # noqa: F401
+# Unused here; kept so per-layer tracing can still patch this name on pose3d.
 from .ingest import mask_indices  # noqa: F401
 
 
@@ -49,13 +48,11 @@ class Pose3D:
         return self.joints[self.root_index, :3]
 
 
-class Lifter(Protocol):
-    def __call__(self, det: Detection, depth: DepthMap, cam: CameraModel,
-                 support: Support | None = None) -> Pose3D: ...
-
-
 def _window_medians(
-    support: Support,
+    depth: DepthMap,
+    mask: Mask2D,
+    box: Box2D,
+    extrema: tuple[float, float],
     u: np.ndarray,
     v: np.ndarray,
     patch: int,
@@ -64,41 +61,50 @@ def _window_medians(
     pixel (u[k], v[k]): mask pass, then depth-band box pass; NaN where
     neither window holds a valid sample.
 
+    The windows are gathered from the whole frame.  A pixel is on the mask
+    when it lies before the end of the last run starting at or before it.
     The box pass keeps only samples inside [z_min, z_max], which keeps an
     overlapping person's surface from leaking into this person's joints.
     """
-    h, w = support.depth.shape
+    h, w = depth.values.shape
     offsets = np.arange(-(patch // 2), patch // 2 + 1)
-    rows, in_rows = _window_axis(v, support.row0, h, offsets)
-    cols, in_cols = _window_axis(u, support.col0, w, offsets)
+    rows, in_rows = _window_axis(v, h, offsets)
+    cols, in_cols = _window_axis(u, w, offsets)
     win_r, win_c = rows[:, :, None], cols[:, None, :]  # (joints, patch, 1), (joints, 1, patch)
-    vals = support.depth[win_r, win_c].reshape(u.size, -1)
+    vals = depth.values[win_r, win_c].reshape(u.size, -1)
     valid = (in_rows[:, :, None] & in_cols[:, None, :]).reshape(u.size, -1)
     valid &= vals > 0.0
-    z = _medians(vals, valid & support.mask[win_r, win_c].reshape(u.size, -1))
+    pixel = (win_r * w + win_c).reshape(u.size, -1)
+    starts = mask.runs[:, 0]
+    run = np.searchsorted(starts, pixel, side="right") - 1  # last run starting at or before
+    on_mask = (run >= 0) & (pixel < (starts + mask.runs[:, 1])[run])
+    z = _medians(vals, valid & on_mask)
     missing = np.isnan(z)
     if missing.any():
+        c0, c1, r0, r1 = box.pixel_bounds(w, h)
+        in_box = (((rows >= r0) & (rows <= r1))[:, :, None]
+                  & ((cols >= c0) & (cols <= c1))[:, None, :])
+        z_min, z_max = extrema
         wide = vals.astype(np.float64)  # the band is compared in float64
-        valid &= support.box[win_r, win_c].reshape(u.size, -1)
-        valid &= wide >= support.z_min
-        valid &= wide <= support.z_max
+        valid &= in_box.reshape(u.size, -1)
+        valid &= wide >= z_min
+        valid &= wide <= z_max
         z[missing] = _medians(vals, valid)[missing]
     return z
 
 
 def _window_axis(
     center: np.ndarray,
-    origin: int,
     size: int,
     offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Crop indices of each window along one axis, clamped into [0, size)
+    """Frame indices of each window along one axis, clamped into [0, size)
     for gathering, and whether each index lay inside before clamping.
 
     The indices stay float until clamped, so far-off keypoints cannot leave
     the int64 range.
     """
-    window = (np.rint(center) - origin)[:, None] + offsets
+    window = np.rint(center)[:, None] + offsets
     clamped = np.maximum(window, 0.0)
     np.minimum(clamped, size - 1, out=clamped)
     return clamped.astype(np.int64), clamped == window
@@ -121,7 +127,7 @@ def lift_pose(
     cam: CameraModel,
     patch: int = 5,
     percentile: float = 0.0,
-    support: Support | None = None,
+    extrema: tuple[float, float] | None = None,
 ) -> Pose3D:
     """Lift one detection's 2D keypoints into world coordinates.
 
@@ -130,9 +136,9 @@ def lift_pose(
     window intersected with the box (restricted to the person's measured
     depth band), then to the person's mid depth.  X and Y follow from the
     pinhole model at that Z.  Joints with confidence 0 inherit the root's
-    coordinates so pose arity stays fixed.  A prebuilt ``support`` (from
-    :func:`~pose3dtrack.geometry.depth_support` with the same percentile)
-    skips rebuilding it.
+    coordinates so pose arity stays fixed.  Precomputed ``extrema`` (from
+    :func:`~pose3dtrack.geometry.depth_extrema` with the same percentile)
+    skip measuring the depth span again.
     """
     if patch < 1 or patch % 2 == 0:
         raise ValidationError(f"patch must be odd and >= 1, got {patch}")
@@ -140,13 +146,13 @@ def lift_pose(
     kps = det.keypoints.joints
     if kps[skel.root_index, 2] <= 0.0:
         raise EmptySupportError("root joint has zero confidence; cannot place pose")
-    if support is None:
-        support = depth_support(depth, det.mask, det.box, percentile=percentile)
+    if extrema is None:
+        extrema = depth_extrema(depth, det.mask, det.box, percentile=percentile)
 
     live = kps[:, 2] > 0.0
     u, v, conf = kps[live].T
-    z = _window_medians(support, u, v, patch)
-    z[np.isnan(z)] = support.z_mid
+    z = _window_medians(depth, det.mask, det.box, extrema, u, v, patch)
+    z[np.isnan(z)] = (extrema[0] + extrema[1]) / 2.0
     x, y = cam.back_project(u, v, z)
 
     joints = np.empty((skel.joint_count, 4), dtype=np.float64)
@@ -154,40 +160,3 @@ def lift_pose(
     joints[~live, :3] = joints[skel.root_index, :3]
     joints[~live, 3] = 0.0
     return Pose3D(joints=joints, root_index=skel.root_index, skeleton_id=skel.name)
-
-
-# ---------------------------------------------------------------------------
-# Lifter registry
-# ---------------------------------------------------------------------------
-
-LifterFactory = Callable[[dict, LiftingConfig], Lifter]
-_LIFTERS: dict[str, LifterFactory] = {}
-
-
-def register_lifter(name: str, factory: LifterFactory) -> None:
-    _LIFTERS[name] = factory
-
-
-def make_lifter(spec: LifterSpec, lifting: LiftingConfig) -> Lifter:
-    try:
-        factory = _LIFTERS[spec.name]
-    except KeyError:
-        raise ValidationError(f"unknown lifter {spec.name!r}") from None
-    return factory(spec.parameters, lifting)
-
-
-def _depth_median_factory(params: dict, lifting: LiftingConfig) -> Lifter:
-    patch = params.get("patch", 5)
-    if type(patch) is not int or patch < 1 or patch % 2 == 0:  # bool is not int here
-        raise ValidationError(
-            f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
-
-    def lifter(det: Detection, depth: DepthMap, cam: CameraModel,
-               support: Support | None = None) -> Pose3D:
-        return lift_pose(det, depth, cam, patch=patch,
-                         percentile=lifting.depth_percentile, support=support)
-
-    return lifter
-
-
-register_lifter("depth_median", _depth_median_factory)

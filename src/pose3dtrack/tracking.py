@@ -13,26 +13,26 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import __version__
+# run_sequence calls depth_extrema and lift_pose through their modules, where
+# per-layer tracing patches them.
+from . import __version__, geometry, pose3d
 from .errors import ParseError, PoseTrackError, SequencingError, ValidationError
-from .geometry import Box3D, depth_support, iou2d_matrix, iou3d_matrix, lift_box
+from .geometry import Box3D, iou2d_matrix, iou3d_matrix, lift_box
 from .ingest import (
     Box2D,
     Detection,
     LiftingConfig,
-    PredictorSpec,
     SequenceInput,
     Skeleton,
     TrackerConfig,
     _json_lines,
     get_skeleton,
 )
-from .pose3d import Pose3D, make_lifter
+from .pose3d import Pose3D
 
 OBSERVED = "obs"
 PREDICTED = "pred"
@@ -220,25 +220,6 @@ def predict(track: Track, window: int,
     return box, pose, box2d
 
 
-Predictor = Callable[..., tuple[Box3D, Pose3D, Box2D | None]]
-_PREDICTORS: dict[str, Callable[[dict], Predictor]] = {}
-
-
-def register_predictor(name: str, factory: Callable[[dict], Predictor]) -> None:
-    _PREDICTORS[name] = factory
-
-
-def make_predictor(spec: PredictorSpec) -> Predictor:
-    try:
-        factory = _PREDICTORS[spec.name]
-    except KeyError:
-        raise ValidationError(f"unknown predictor {spec.name!r}") from None
-    return factory(spec.parameters)
-
-
-register_predictor("linear", lambda params: predict)
-
-
 # ---------------------------------------------------------------------------
 # Tracker
 # ---------------------------------------------------------------------------
@@ -252,7 +233,6 @@ class Tracker:
         self.finished: list[Track] = []
         self.next_id = 0
         self.last_frame = -1
-        self._predict = make_predictor(cfg.predictor)
 
     def step(self, frame_index: int, items: list[tuple[Detection, Box3D, Pose3D]]) -> None:
         if frame_index <= self.last_frame:
@@ -275,9 +255,9 @@ class Tracker:
         matched_dets = set()
         matched_tracks = set()
         for track_id, det_index in assoc.matches:
-            det, box3d, pose3d = items[det_index]
+            det, box3d, pose = items[det_index]
             track = by_id[track_id]
-            track.states.append(TrackState(frame_index, OBSERVED, box3d, pose3d,
+            track.states.append(TrackState(frame_index, OBSERVED, box3d, pose,
                                            box2d=det.box, detection=det))
             track.gap_run = 0
             matched_dets.add(det_index)
@@ -289,9 +269,9 @@ class Tracker:
             if track.gap_run + 1 > cfg.max_gap:
                 self._terminate(track)
                 continue
-            box3d, pose3d, box2d = self._predict(track, cfg.predictor_window,
-                                                 target_frame=frame_index)
-            track.states.append(TrackState(frame_index, PREDICTED, box3d, pose3d,
+            box3d, pose, box2d = predict(track, cfg.predictor_window,
+                                         target_frame=frame_index)
+            track.states.append(TrackState(frame_index, PREDICTED, box3d, pose,
                                            box2d=box2d))
             track.gap_run += 1
         self.live = [t for t in self.live if not t.terminated]
@@ -300,9 +280,9 @@ class Tracker:
                  and items[i][0].score >= cfg.min_track_score]
         spawn.sort(key=lambda i: (-items[i][0].score, i))
         for det_index in spawn:
-            det, box3d, pose3d = items[det_index]
+            det, box3d, pose = items[det_index]
             track = Track(track_id=self.next_id, birth_frame=frame_index)
-            track.states.append(TrackState(frame_index, OBSERVED, box3d, pose3d,
+            track.states.append(TrackState(frame_index, OBSERVED, box3d, pose,
                                            box2d=det.box, detection=det))
             self.next_id += 1
             self.live.append(track)
@@ -325,21 +305,26 @@ def run_sequence(
     cfg: TrackerConfig,
     lifting: LiftingConfig | None = None,
 ) -> list[Track]:
-    """Lift every detection and fold the tracker over the sequence."""
+    """Lift every detection and fold the tracker over the sequence.
+
+    The person's depth span is measured once per detection and shared by
+    the box and pose lifts.
+    """
     lifting = lifting or LiftingConfig()
-    lifter = make_lifter(lifting.lifter, lifting)
+    percentile, patch = lifting.depth_percentile, lifting.lifter.patch
     tracker = Tracker(cfg)
     for frame in seq.frames:
         try:
             depth = frame.load()
             lifted = []
             for det in frame.detections:
-                support = depth_support(depth, det.mask, det.box,
-                                        percentile=lifting.depth_percentile)
+                extrema = geometry.depth_extrema(depth, det.mask, det.box, percentile)
                 box3d = lift_box(det.box, depth, det.mask, seq.camera,
-                                 min_thickness=lifting.min_thickness, support=support)
-                lifted.append((det, box3d, lifter(det, depth, seq.camera, support)))
-                del support  # free the crops before the next detection's are built
+                                 min_thickness=lifting.min_thickness, extrema=extrema)
+                pose = pose3d.lift_pose(det, depth, seq.camera, patch=patch,
+                                        percentile=percentile, extrema=extrema)
+                lifted.append((det, box3d, pose))
+            del depth  # one raster alive at a time: free it before the next load
             tracker.step(frame.frame_index, lifted)
         except PoseTrackError as e:
             raise type(e)(f"frame {frame.frame_index}: {e}") from e
@@ -405,10 +390,10 @@ def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:
     """
     try:
         kinds = [s["kind"] for s in states]
-        frames = [int(s["frame"]) for s in states]
+        frames = [s["frame"] for s in states]
         boxes = np.array([s["box3d"] for s in states], dtype=np.float64)
         joints = np.array([s["pose3d"] for s in states], dtype=np.float64)
-        known = set(kinds) <= {OBSERVED, PREDICTED}
+        known = set(kinds) <= {OBSERVED, PREDICTED} and set(map(type, frames)) <= {int}
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     n = len(frames)
@@ -420,12 +405,22 @@ def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:
             for frame, kind, box, pose in zip(frames, kinds, boxes.tolist(), joints)]
 
 
+def _json_int(obj: dict, key: str, path: Path, lineno: int) -> int:
+    """``obj[key]`` when it is a JSON integer (bool excluded), else a
+    ParseError naming the file and line."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ParseError(f"{path}: {key!r} must be a JSON integer, got {value!r}", line=lineno)
+    return value
+
+
 def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     """Read a tracks (or ground-truth) file; returns (header, tracks).
 
     Each track's states are read as two arrays; a track with a bad state is
     read again state by state, so the error names the first bad state's
-    fault.  The poses of one track are rows of one joint array.
+    fault.  The poses of one track are rows of one joint array.  Track ids,
+    births and state frames must be JSON integers.
     """
     path = Path(path)
     header: dict = {}
@@ -439,7 +434,8 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                 continue
             skeleton_id = header.get("skeleton", "basic15")
             skel = get_skeleton(skeleton_id)
-            track = Track(track_id=int(obj["id"]), birth_frame=int(obj["birth"]))
+            track = Track(track_id=_json_int(obj, "id", path, lineno),
+                          birth_frame=_json_int(obj, "birth", path, lineno))
             states = _states_from_arrays(obj["states"], skel)
             if states is None:  # a state is bad: read state by state to name it
                 states = []
@@ -448,7 +444,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                         raise ParseError(
                             f"{path}: unknown state kind {s['kind']!r}", line=lineno)
                     states.append(TrackState(
-                        frame_index=int(s["frame"]),
+                        frame_index=_json_int(s, "frame", path, lineno),
                         kind=s["kind"],
                         box3d=Box3D.from_array(s["box3d"]),
                         pose3d=_pose_from_list(s["pose3d"], skeleton_id, skel.root_index),

@@ -25,7 +25,7 @@ from pose3dtrack.ingest import (
     write_depth,
 )
 from pose3dtrack.metrics import ground_truth_from_tracks, match_frame, matched_pose_pairs, mota
-from pose3dtrack.pose3d import Pose3D, make_lifter
+from pose3dtrack.pose3d import Pose3D
 from pose3dtrack.tracking import OBSERVED, Track, TrackState, read_tracks, write_tracks
 
 CAMERA = {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0}
@@ -231,6 +231,92 @@ def test_read_tracks_header_that_is_not_an_object_names_file_and_line(tmp_path, 
         read_tracks(path)
 
 
+NOT_INTEGERS = [math.inf, -math.inf, math.nan, 2.5, 3.0, "3", True, False, None, [1]]
+
+
+def _track_record_file(tmp_path, key, value):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    if key == "frame":
+        lines[2]["states"][0]["frame"] = value
+    else:
+        lines[2][key] = value
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    return path
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("key", ["frame", "id", "birth"])
+def test_read_tracks_rejects_a_value_that_is_not_a_json_integer(tmp_path, key, value):
+    path = _track_record_file(tmp_path, key, value)
+    with pytest.raises(ParseError) as info:
+        read_tracks(path)
+    assert str(info.value) == f"line 3: {path}: {key!r} must be a JSON integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [0, -1, 7, 2**63, -(2**70)])
+@pytest.mark.parametrize("key", ["frame", "id", "birth"])
+def test_read_tracks_reads_json_integers_exactly(tmp_path, key, value):
+    _, tracks = read_tracks(_track_record_file(tmp_path, key, value))
+    got = {"frame": tracks[1].states[0].frame_index, "id": tracks[1].track_id,
+           "birth": tracks[1].birth_frame}[key]
+    assert type(got) is int and got == value
+
+
+def test_eval_on_a_tracks_file_with_an_infinite_frame_exits_1(tmp_path, capsys):
+    path = _track_record_file(tmp_path, "frame", math.inf)
+    capsys.readouterr()
+    assert cli_main(["eval", "--tracks", str(path), "--gt", str(path), "--metric", "mota"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 3: {path}: 'frame' must be a JSON integer, got inf\n")
+
+
+@pytest.mark.parametrize("extents, shown", [
+    ((-math.inf, math.inf, 0.0, 1.0, 0.0, 1.0), "x[-inf, inf] y[0.0, 1.0] z[0.0, 1.0]"),
+    ((-math.inf, 0.0, 0.0, 1.0, 0.0, 1.0), "x[-inf, 0.0] y[0.0, 1.0] z[0.0, 1.0]"),
+    ((0.0, 1.0, 0.0, math.inf, 0.0, 1.0), "x[0.0, 1.0] y[0.0, inf] z[0.0, 1.0]"),
+    ((0.0, 1.0, 0.0, 1.0, -math.inf, 1.0), "x[0.0, 1.0] y[0.0, 1.0] z[-inf, 1.0]"),
+    ((0.0, 1.0, 0.0, 1.0, 0.0, math.inf), "x[0.0, 1.0] y[0.0, 1.0] z[0.0, inf]"),
+])
+def test_box3d_rejects_infinite_extents(extents, shown):
+    with pytest.raises(ValidationError) as info:
+        Box3D(*extents)
+    assert str(info.value) == f"Box3D: infinite extents {shown}"
+
+
+@pytest.mark.parametrize("extents, shown", [
+    ((math.inf, -math.inf, 0.0, 1.0, 0.0, 1.0), "x[inf, -inf] y[0.0, 1.0] z[0.0, 1.0]"),
+    ((0.0, 1.0, math.inf, math.inf, 0.0, 1.0), "x[0.0, 1.0] y[inf, inf] z[0.0, 1.0]"),
+    ((0.0, 1.0, 0.0, 1.0, math.nan, 1.0), "x[0.0, 1.0] y[0.0, 1.0] z[nan, 1.0]"),
+    ((0.0, 0.0, 0.0, 1.0, 0.0, 1.0), "x[0.0, 0.0] y[0.0, 1.0] z[0.0, 1.0]"),
+])
+def test_box3d_still_names_degenerate_extents_degenerate(extents, shown):
+    with pytest.raises(ValidationError) as info:
+        Box3D(*extents)
+    assert str(info.value) == f"Box3D: degenerate extents {shown}"
+
+
+def test_box3d_accepts_the_largest_finite_extents():
+    big = np.finfo(np.float64).max
+    assert Box3D(-big, big, -big, big, -big, big).x_max == big
+
+
+def test_read_tracks_infinite_box_names_file_and_line(tmp_path):
+    path = _tracks_file(tmp_path, _state([-math.inf, math.inf, 0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(ValidationError) as info:
+        read_tracks(path)
+    assert str(info.value) == (
+        f"{path}: line 3: Box3D: infinite extents x[-inf, inf] y[0.0, 1.0] z[0.0, 1.0]")
+
+
+def test_export_of_a_tracks_file_with_an_infinite_box_exits_1(tmp_path, capsys):
+    path = _tracks_file(tmp_path, _state([-math.inf, math.inf, 0.0, 1.0, 0.0, 1.0]))
+    capsys.readouterr()
+    assert cli_main(["export", "--tracks", str(path), "--out", str(tmp_path / "scene.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: Box3D: infinite extents")
+    assert not (tmp_path / "scene.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # Scene documents
 # ---------------------------------------------------------------------------
@@ -427,16 +513,15 @@ def test_tracker_config_counts_accept_ints_at_their_bounds():
 
 @pytest.mark.parametrize("patch", [4, 0, -1, -3, True, False, 5.7, 5.0, "5", None])
 def test_depth_median_lifter_checks_its_patch_when_built(patch):
-    spec = LifterSpec("depth_median", {"patch": patch})
     with pytest.raises(ValidationError) as info:
-        make_lifter(spec, LiftingConfig())
+        LifterSpec("depth_median", {"patch": patch})
     assert str(info.value) == (
         f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
 
 
 @pytest.mark.parametrize("patch", [1, 3, 7])
 def test_depth_median_lifter_accepts_odd_int_patches(patch):
-    assert callable(make_lifter(LifterSpec("depth_median", {"patch": patch}), LiftingConfig()))
+    assert LifterSpec("depth_median", {"patch": patch}).patch == patch
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +539,10 @@ def parallel_walk(tmp_path_factory):
     ("metrics", "tau", math.inf, "MetricConfig: radius and tau must be finite and > 0"),
     ("lifting", "lifter", {"name": "depth_median", "parameters": {"patch": 4}},
      "lifter 'depth_median': patch must be an odd int >= 1, got 4"),
+    ("tracker", "predictor", {"name": "kalman"}, "unknown predictor 'kalman'"),
+    ("lifting", "lifter", {"name": "martinez"}, "unknown lifter 'martinez'"),
+    ("lifting", "lifter", {"name": "depth_median", "parameters": [5]},
+     "lifter 'depth_median': parameters must be a JSON object, got [5]"),
 ])
 def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
         parallel_walk, tmp_path, capsys, section, field, value, message):

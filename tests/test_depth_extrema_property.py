@@ -1,14 +1,12 @@
-"""Property tests for the two steps of ``depth_support`` that avoid full-pixel
-work: the percentile extrema taken from one sort, and the mask's column
-bounds taken from its runs."""
+"""Property tests for the step of ``depth_extrema`` that avoids NumPy's
+percentile: the percentile extrema taken from one in-place sort."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pose3dtrack.geometry import _mask_columns, clipped_extrema
-from pose3dtrack.ingest import Mask2D, mask_indices
+from pose3dtrack.geometry import clipped_extrema
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -47,28 +45,3 @@ def test_clipped_extrema_at_zero_is_min_max(vals):
     before = vals.copy()
     assert clipped_extrema(vals, 0.0) == (float(vals.min()), float(vals.max()))
     np.testing.assert_array_equal(vals, before)  # no sort without clipping
-
-
-@st.composite
-def masks(draw):
-    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 8))
-    covered = draw(st.lists(st.booleans(), min_size=width * height,
-                            max_size=width * height))
-    runs, start = [], None
-    for i, on in enumerate(covered + [False]):
-        if on and start is None:
-            start = i
-        elif not on and start is not None:
-            runs.append((start, i - start))
-            start = None
-    return Mask2D(width=width, height=height, runs=tuple(runs))
-
-
-@SETTINGS
-@given(mask=masks())
-def test_mask_columns_equal_pixel_scan(mask):
-    cols = mask_indices(mask) % mask.width
-    if cols.size:
-        assert _mask_columns(mask) == (int(cols.min()), int(cols.max()))
-    else:
-        assert _mask_columns(mask) == (mask.width, -1)

@@ -1,9 +1,10 @@
-"""The cropped single-support lifting path against the full-frame reference.
+"""The library's lifting path against the full-frame reference.
 
 Every seeded instance must agree exactly (``==``, not approximately) on
-depth_extrema, lift_box and lift_pose, with and without a prebuilt support.
-The generator is checked to have exercised every case the cropped path
-treats differently from the full-frame one.
+depth_extrema, lift_box and lift_pose, with and without precomputed extrema.
+The generator is checked to have exercised every case the library treats
+differently from the full-frame reference (mask past the box, runs that wrap
+a row, windows at and past the frame edges, both window passes).
 """
 
 from collections import Counter
@@ -19,7 +20,7 @@ from oracles import (
     reference_window_values,
 )
 from pose3dtrack.errors import EmptySupportError, ValidationError
-from pose3dtrack.geometry import depth_extrema, depth_support, lift_box
+from pose3dtrack.geometry import depth_extrema, lift_box
 from pose3dtrack.ingest import (
     BASIC15,
     Box2D,
@@ -33,7 +34,7 @@ from pose3dtrack.ingest import (
     encode_mask,
     mask_indices,
 )
-from pose3dtrack.pose3d import lift_pose, make_lifter
+from pose3dtrack.pose3d import lift_pose
 
 INSTANCES = 300
 PATCHES = (1, 3, 5, 7)
@@ -169,11 +170,10 @@ def test_cropped_lifting_equals_full_frame_reference():
             continue
         assert depth_extrema(depth, mask, box, percentile=percentile) == extrema
 
-        support = depth_support(depth, mask, box, percentile=percentile)
         expected_box = reference_lift_box(box, depth, mask, cam, 0.2, percentile)
         assert tuple(lift_box(box, depth, mask, cam, percentile=percentile).as_array()) \
             == expected_box
-        assert tuple(lift_box(box, depth, mask, cam, support=support).as_array()) \
+        assert tuple(lift_box(box, depth, mask, cam, extrema=extrema).as_array()) \
             == expected_box
 
         try:
@@ -189,10 +189,10 @@ def test_cropped_lifting_equals_full_frame_reference():
         note_coverage(seen, depth, det, patch, percentile)
         lifting = LiftingConfig(depth_percentile=percentile,
                                 lifter=LifterSpec(parameters={"patch": patch}))
-        lifter = make_lifter(lifting.lifter, lifting)
         for got in (lift_pose(det, depth, cam, patch=patch, percentile=percentile),
-                    lift_pose(det, depth, cam, patch=patch, support=support),
-                    lifter(det, depth, cam, support)):
+                    lift_pose(det, depth, cam, patch=patch, extrema=extrema),
+                    lift_pose(det, depth, cam, patch=lifting.lifter.patch,
+                              percentile=lifting.depth_percentile, extrema=extrema)):
             assert np.array_equal(got.joints, expected), index
 
     cases = ["mask past box", "run wraps a row", "zero confidence", "keypoint on edge",

@@ -16,7 +16,7 @@ from pose3dtrack.ingest import (
     Mask2D,
     encode_mask,
 )
-from pose3dtrack.pose3d import lift_pose, make_lifter
+from pose3dtrack.pose3d import lift_pose
 
 
 ROOT = BASIC15.root_index
@@ -155,27 +155,27 @@ def test_root_depth_order_matches_median_mask_depth_order():
 
     seq, _ = generate(builtin("three_person_mix"))
     lifting = LiftingConfig()
-    from pose3dtrack.pose3d import make_lifter
-    lifter = make_lifter(lifting.lifter, lifting)
     for frame in (seq.frames[0], seq.frames[10], seq.frames[30]):
         depth = frame.load()
         flat = depth.values.reshape(-1)
         roots = []
         medians = []
         for det in frame.detections:
-            pose = lifter(det, depth, seq.camera)
+            pose = lift_pose(det, depth, seq.camera, patch=lifting.lifter.patch,
+                             percentile=lifting.depth_percentile)
             roots.append(pose.root[2])
             vals = flat[mask_indices(det.mask)]
             medians.append(float(np.median(vals[vals > 0])))
         assert np.argsort(roots).tolist() == np.argsort(medians).tolist()
 
 
-def test_lifter_registry_default_and_unknown():
-    lifting = LiftingConfig()
-    lifter = make_lifter(LifterSpec(name="depth_median", parameters={"patch": 3}), lifting)
+def test_lifter_spec_default_and_unknown():
+    lifting = LiftingConfig(lifter=LifterSpec(name="depth_median", parameters={"patch": 3}))
     det = detection_with_joints(centered_joints(8.0, 8.0))
     cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
-    pose = lifter(det, constant_depth(20, 20, 2.5), cam)
+    pose = lift_pose(det, constant_depth(20, 20, 2.5), cam, patch=lifting.lifter.patch,
+                     percentile=lifting.depth_percentile)
     assert pose.joints[0, 2] == 2.5
+    assert LiftingConfig().lifter.patch == 5
     with pytest.raises(ValidationError, match="unknown lifter"):
-        make_lifter(LifterSpec(name="martinez"), lifting)
+        LifterSpec(name="martinez")

@@ -1,13 +1,19 @@
 """The benchmark's per-layer trace (``perfbench/spans.py``) patches engine
 functions where their callers look them up.  Every such name must still
-resolve, so that deleting or renaming one fails here, not only in a later
-traced benchmark run."""
+resolve, and the engine must still call through it, so that deleting,
+renaming or bypassing one fails here, not only in a later traced benchmark
+run."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from pose3dtrack import geometry, pose3d, tracking
+from pose3dtrack.ingest import TrackerConfig
+from pose3dtrack.synth import builtin, generate
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,3 +39,27 @@ TARGETS = _spans.TRACK_TARGETS + _spans.SETUP_TARGETS
                          ids=[f"{owner.__name__}.{attr}" for _, owner, attr in TARGETS])
 def test_trace_target_resolves(name, owner, attr):
     assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({name}) is gone"
+
+
+def test_run_sequence_calls_through_the_patched_names(monkeypatch):
+    calls = Counter()
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(pose3d, "lift_pose")
+    counting(geometry, "depth_extrema")
+    counting(tracking, "predict")
+    seq, _ = generate(builtin("full_occlusion"))
+    tracks = tracking.run_sequence(seq, TrackerConfig())
+    detections = sum(len(frame.detections) for frame in seq.frames)
+    predicted = sum(s.kind == tracking.PREDICTED for t in tracks for s in t.states)
+    assert detections > 0 and predicted > 0
+    assert calls == {"lift_pose": detections, "depth_extrema": detections,
+                     "predict": predicted}

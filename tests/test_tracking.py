@@ -1,9 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import best_assignment_total
+from pose3dtrack import ingest, tracking
+from pose3dtrack.cli import main as cli_main
 from pose3dtrack.errors import SequencingError
 from pose3dtrack.geometry import Box3D, iou3d
 from pose3dtrack.ingest import (
@@ -13,6 +16,8 @@ from pose3dtrack.ingest import (
     Keypoints2D,
     Mask2D,
     TrackerConfig,
+    load_config,
+    load_sequence,
 )
 from pose3dtrack.pose3d import Pose3D
 from pose3dtrack.synth import builtin, generate
@@ -334,6 +339,31 @@ def test_run_sequence_deterministic():
 # ---------------------------------------------------------------------------
 # Tracks file IO
 # ---------------------------------------------------------------------------
+
+def test_run_sequence_frees_each_raster_before_the_tracker_step(tmp_path, monkeypatch):
+    assert cli_main(["synth", "--scenario", "parallel_walk", "--out-dir", str(tmp_path)]) == 0
+    cfg = load_config(tmp_path / "config.json")
+    seq = load_sequence(tmp_path / "detections.jsonl", tmp_path / "depth", cfg.camera)
+    loaded = []
+    load_depth, step = ingest.load_depth, tracking.Tracker.step
+
+    def remembering_load(path):
+        depth = load_depth(path)
+        loaded.append(weakref.ref(depth))
+        return depth
+
+    alive_at_step = []
+
+    def counting_step(self, frame_index, items):
+        alive_at_step.append(sum(ref() is not None for ref in loaded))
+        return step(self, frame_index, items)
+
+    monkeypatch.setattr(ingest, "load_depth", remembering_load)
+    monkeypatch.setattr(tracking.Tracker, "step", counting_step)
+    run_sequence(seq, cfg.tracker, cfg.lifting)
+    assert len(loaded) == len(seq.frames) > 1
+    assert alive_at_step == [0] * len(seq.frames)
+
 
 def test_tracks_file_round_trip(tmp_path):
     seq, _ = generate(builtin("full_occlusion"))
