@@ -188,7 +188,7 @@ def read_scene(path: str | Path) -> SceneDocument:
         raise ParseError(f"{path}: invalid JSON ({e.msg})", line=e.lineno) from None
     try:
         return scene_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{path}: missing or malformed field ({e})") from None
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None

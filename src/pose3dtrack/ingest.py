@@ -694,7 +694,7 @@ def load_config(path: str | Path) -> EngineConfig:
         raise ParseError(f"{path}: config must be a JSON object")
     try:
         return config_from_dict(obj)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: {e}") from None
 
 

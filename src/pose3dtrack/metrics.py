@@ -12,7 +12,7 @@ threshold, plus its mean over a fixed threshold grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -81,35 +81,20 @@ class MotReport:
     per_frame: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "mota": self.mota,
-            "misses": self.misses,
-            "false_positives": self.false_positives,
-            "id_switches": self.id_switches,
-            "gt_total": self.gt_total,
-            "radius": self.radius,
-            "per_frame": self.per_frame,
-        }
+        return asdict(self)
 
 
 @dataclass
 class PckReport:
     pck_rel: float
-    auc_rel: float | None
+    auc_rel: float
     tau: float
     joints_total: int
     joints_correct: int
     per_joint: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "pck_rel": self.pck_rel,
-            "auc_rel": self.auc_rel,
-            "tau": self.tau,
-            "joints_total": self.joints_total,
-            "joints_correct": self.joints_correct,
-            "per_joint": self.per_joint,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +217,14 @@ def mota(gt: GroundTruth, tracks: list[Track], radius: float = 0.5) -> MotReport
 def pck3d_rel(
     pairs: list[tuple[Pose3D, Pose3D]],
     tau: float = 0.15,
-    with_auc: bool = True,
 ) -> PckReport:
     """Root-aligned percentage of correct keypoints over matched pose pairs.
 
     Each prediction is translated so its root lands on the ground-truth root
     (each pose's root through its own ``root_index``).  A joint is correct
     iff its error is <= tau (boundary inclusive); only joints valid in the
-    ground truth are counted.  All pairs are scored in one batched pass.
+    ground truth are counted.  All pairs are scored in one batched pass, and
+    the AUC over ``AUC_THRESHOLDS`` comes from the same errors.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise EvaluationError("tau must be finite and > 0")
@@ -270,13 +255,10 @@ def pck3d_rel(
     for name, jt, jc in zip(skel.joint_names, joint_totals.tolist(), joint_correct.tolist()):
         if jt:
             per_joint[name] = 100.0 * jc / jt
-    auc = None
-    if with_auc:
-        within = np.searchsorted(np.sort(errors[valid]), AUC_THRESHOLDS, side="right")
-        auc = float(np.mean(100.0 * within / total))
+    within = np.searchsorted(np.sort(errors[valid]), AUC_THRESHOLDS, side="right")
     return PckReport(
         pck_rel=100.0 * correct / total,
-        auc_rel=auc,
+        auc_rel=float(np.mean(100.0 * within / total)),
         tau=tau,
         joints_total=total,
         joints_correct=correct,

@@ -77,13 +77,6 @@ class Track:
 # Assignment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Association:
-    matches: tuple[tuple[int, int], ...]  # (track_id, det_index)
-    unmatched_tracks: tuple[int, ...]
-    unmatched_detections: tuple[int, ...]
-
-
 def assign_by_iou(iou: np.ndarray, gate: float) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Maximum-total-IOU one-to-one assignment over pairs with IOU >= gate.
 
@@ -132,22 +125,18 @@ def _canonicalize_ties(pairs: list[tuple[int, int]], weights: np.ndarray,
 
 
 def associate(
-    tracks: list[tuple[int, Box3D | Box2D]],
-    dets: list[tuple[int, Box3D | Box2D]],
+    track_boxes: list[Box3D] | list[Box2D],
+    det_boxes: list[Box3D] | list[Box2D],
     gate: float,
     mode: str = "iou3d",
-) -> Association:
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Optimally match track boxes to detection boxes by IOU.
 
     Box types must match the mode: Box3D for "iou3d", Box2D for "iou2d".
-    Ties are broken toward the lowest track_id, then the lowest det_index.
+    Returns :func:`assign_by_iou`'s (pairs, unmatched_tracks,
+    unmatched_detections) as positions in the two lists; ties break toward
+    the lowest track position, then the lowest detection position.
     """
-    tracks = sorted(tracks, key=lambda t: t[0])
-    dets = sorted(dets, key=lambda d: d[0])
-    track_ids = [tid for tid, _ in tracks]
-    track_boxes = [b for _, b in tracks]
-    det_ids = [d for d, _ in dets]
-    det_boxes = [b for _, b in dets]
     if mode == "iou3d":
         iou = iou3d_matrix(
             np.array([b.as_array() for b in track_boxes]).reshape(-1, 6),
@@ -160,12 +149,7 @@ def associate(
         )
     else:
         raise ValidationError(f"unknown association mode {mode!r}")
-    pairs, un_r, un_c = assign_by_iou(iou, gate)
-    return Association(
-        matches=tuple(sorted((track_ids[r], det_ids[c]) for r, c in pairs)),
-        unmatched_tracks=tuple(track_ids[r] for r in un_r),
-        unmatched_detections=tuple(det_ids[c] for c in un_c),
-    )
+    return assign_by_iou(iou, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +174,9 @@ def predict(track: Track, window: int,
 
     Fits a least-squares line per box corner and per joint coordinate over
     the up-to-`window` most recent observed states; a single observation
-    extrapolates with zero velocity.
+    extrapolates with zero velocity.  A box whose fitted extents are not
+    strictly increasing on every axis (a box that narrowed before the miss)
+    is replaced by the last observed box, for the 3D and the 2D box alike.
     """
     observed = track.observed_states()[-window:]
     if not observed:
@@ -203,7 +189,8 @@ def predict(track: Track, window: int,
 
     box_vals = np.stack([s.box3d.as_array() for s in observed])
     joints_vals = np.stack([s.pose3d.joints[:, :3].reshape(-1) for s in observed])
-    box = Box3D.from_array(_linear_fit_extrapolate(frames, box_vals, target))
+    fit = _linear_fit_extrapolate(frames, box_vals, target)
+    box = Box3D.from_array(fit) if (fit[0::2] < fit[1::2]).all() else observed[-1].box3d
     joints_xyz = _linear_fit_extrapolate(frames, joints_vals, target).reshape(-1, 3)
     joints = np.concatenate([joints_xyz, ref_pose.joints[:, 3:4]], axis=1)
     pose = Pose3D(joints=joints, root_index=ref_pose.root_index,
@@ -242,30 +229,26 @@ class Tracker:
         self.last_frame = frame_index
         cfg = self.cfg
 
+        # self.live is in ascending id order (ids grow, termination keeps
+        # order), so list positions break ties as ids would.
         if cfg.association_mode == "iou3d":
-            track_boxes = [(t.track_id, t.last_state.box3d) for t in self.live]
-            det_boxes = [(i, box) for i, (_, box, _) in enumerate(items)]
+            track_boxes = [t.last_state.box3d for t in self.live]
+            det_boxes = [box for _, box, _ in items]
         else:
-            track_boxes = [(t.track_id, t.last_state.box2d) for t in self.live
-                           if t.last_state.box2d is not None]
-            det_boxes = [(i, det.box) for i, (det, _, _) in enumerate(items)]
-        assoc = associate(track_boxes, det_boxes, cfg.iou_gate, cfg.association_mode)
+            track_boxes = [t.last_state.box2d for t in self.live]
+            det_boxes = [det.box for det, _, _ in items]
+        pairs, unmatched_tracks, unmatched_dets = associate(
+            track_boxes, det_boxes, cfg.iou_gate, cfg.association_mode)
 
-        by_id = {t.track_id: t for t in self.live}
-        matched_dets = set()
-        matched_tracks = set()
-        for track_id, det_index in assoc.matches:
-            det, box3d, pose = items[det_index]
-            track = by_id[track_id]
+        for row, col in pairs:
+            det, box3d, pose = items[col]
+            track = self.live[row]
             track.states.append(TrackState(frame_index, OBSERVED, box3d, pose,
                                            box2d=det.box, detection=det))
             track.gap_run = 0
-            matched_dets.add(det_index)
-            matched_tracks.add(track_id)
 
-        for track in self.live:
-            if track.track_id in matched_tracks:
-                continue
+        for row in unmatched_tracks:
+            track = self.live[row]
             if track.gap_run + 1 > cfg.max_gap:
                 self._terminate(track)
                 continue
@@ -276,8 +259,7 @@ class Tracker:
             track.gap_run += 1
         self.live = [t for t in self.live if not t.terminated]
 
-        spawn = [i for i in range(len(items)) if i not in matched_dets
-                 and items[i][0].score >= cfg.min_track_score]
+        spawn = [i for i in unmatched_dets if items[i][0].score >= cfg.min_track_score]
         spawn.sort(key=lambda i: (-items[i][0].score, i))
         for det_index in spawn:
             det, box3d, pose = items[det_index]
@@ -450,7 +432,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                         pose3d=_pose_from_list(s["pose3d"], skeleton_id, skel.root_index),
                     ))
             track.states = states
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
         except ValidationError as e:
             raise ValidationError(f"{path}: line {lineno}: {e}") from None

@@ -98,25 +98,23 @@ def test_c3_assignment_optimality():
     for k in range(500):
         n, m = int(rng.integers(0, 8)), int(rng.integers(0, 8))
         tracks = []
-        for tid in range(n):
+        for _ in range(n):
             lo = rng.uniform(0, 2, size=3)
             size = rng.uniform(0.4, 1.6, size=3)
-            tracks.append((tid, Box3D(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1],
-                                      lo[2], lo[2] + size[2])))
+            tracks.append(Box3D(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1],
+                                lo[2], lo[2] + size[2]))
         dets = []
-        for d in range(m):
+        for _ in range(m):
             lo = rng.uniform(0, 2, size=3)
             size = rng.uniform(0.4, 1.6, size=3)
-            dets.append((d, Box3D(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1],
-                                  lo[2], lo[2] + size[2])))
+            dets.append(Box3D(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1],
+                              lo[2], lo[2] + size[2]))
         gate = gates[k % len(gates)]
-        res = associate(tracks, dets, gate=gate, mode="iou3d")
-        by_t, by_d = dict(tracks), dict(dets)
-        total = sum(iou3d(by_t[t], by_d[d]) for t, d in res.matches)
-        iou = np.array([[iou3d(b, db) for _, db in dets] for _, b in tracks]
-                       ).reshape(n, m)
+        pairs, _, _ = associate(tracks, dets, gate=gate, mode="iou3d")
+        total = sum(iou3d(tracks[t], dets[d]) for t, d in pairs)
+        iou = np.array([[iou3d(b, db) for db in dets] for b in tracks]).reshape(n, m)
         assert math.isclose(total, best_assignment_total(iou, gate), abs_tol=1e-9)
-        assert all(iou3d(by_t[t], by_d[d]) >= gate for t, d in res.matches)
+        assert all(iou3d(tracks[t], dets[d]) >= gate for t, d in pairs)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"[PASS] criterion 3: assignment optimal vs brute force on 500 instances "

@@ -29,6 +29,8 @@ from pose3dtrack.pose3d import Pose3D
 from pose3dtrack.tracking import OBSERVED, Track, TrackState, read_tracks, write_tracks
 
 CAMERA = {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0}
+# A JSON integer past the float range: float() and NumPy raise OverflowError.
+HUGE = 10 ** 400
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +70,6 @@ def test_config_file_rejects_non_finite_camera(tmp_path):
     path.write_text('{"camera": {"fx": Infinity, "fy": 600, "cx": 320, "cy": 240}}')
     with pytest.raises(ValidationError, match="finite"):
         load_config(path)
-
 
 # ---------------------------------------------------------------------------
 # Depth directory
@@ -271,6 +272,36 @@ def test_eval_on_a_tracks_file_with_an_infinite_frame_exits_1(tmp_path, capsys):
         f"error: line 3: {path}: 'frame' must be a JSON integer, got inf\n")
 
 
+def _huge_state(key):
+    state = _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2])
+    if key == "box3d":
+        state["box3d"][1] = HUGE
+    else:
+        state["pose3d"] = [[HUGE, 0.0, 2.0, 1.0]] + state["pose3d"][1:]
+    return state
+
+
+@pytest.mark.parametrize("key", ["box3d", "pose3d"])
+def test_read_tracks_integer_past_the_float_range_names_file_and_line(tmp_path, key):
+    path = _tracks_file(tmp_path, _huge_state(key))
+    with pytest.raises(ParseError) as info:
+        read_tracks(path)
+    assert str(info.value) == (
+        f"line 3: {path}: malformed track record (int too large to convert to float)")
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_cli_on_a_tracks_file_with_an_integer_past_the_float_range_exits_1(
+        tmp_path, capsys, command):
+    path = _tracks_file(tmp_path, _huge_state("box3d"))
+    argv = {"eval": ["eval", "--tracks", str(path), "--gt", str(path), "--metric", "mota"],
+            "export": ["export", "--tracks", str(path), "--out", str(tmp_path / "scene.json")]}
+    capsys.readouterr()
+    assert cli_main(argv[command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 3: {path}: malformed track record (int too large to convert to float)\n")
+
+
 @pytest.mark.parametrize("extents, shown", [
     ((-math.inf, math.inf, 0.0, 1.0, 0.0, 1.0), "x[-inf, inf] y[0.0, 1.0] z[0.0, 1.0]"),
     ((-math.inf, 0.0, 0.0, 1.0, 0.0, 1.0), "x[-inf, 0.0] y[0.0, 1.0] z[0.0, 1.0]"),
@@ -412,6 +443,20 @@ def test_read_scene_unknown_skeleton_names_file(tmp_path):
     scene["metadata"]["skeleton"] = "coco17"
     with pytest.raises(ValidationError, match=r"scene.json: unknown skeleton_id 'coco17'"):
         read_scene(_scene_file(tmp_path, scene))
+
+
+@pytest.mark.parametrize("field", ["joints", "fps"])
+def test_read_scene_integer_past_the_float_range_names_file(tmp_path, field):
+    scene = _scene()
+    if field == "fps":
+        scene["metadata"]["fps"] = HUGE
+    else:
+        scene["actors"][0]["samples"][0]["joints"] = [[HUGE, 1.0, 2.0]] + JOINTS[1:]
+    path = _scene_file(tmp_path, scene)
+    with pytest.raises(ParseError) as info:
+        read_scene(path)
+    assert str(info.value) == (
+        f"{path}: missing or malformed field (int too large to convert to float)")
 
 
 # ---------------------------------------------------------------------------
@@ -556,4 +601,20 @@ def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
             "--out", str(tmp_path / "tracks.jsonl")]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+@pytest.mark.parametrize("section, field", [("camera", "fx"), (None, "fps")])
+def test_track_cli_on_a_config_integer_past_the_float_range_exits_1(
+        parallel_walk, tmp_path, capsys, section, field):
+    config = json.loads((parallel_walk / "config.json").read_text())
+    (config[section] if section else config)[field] = HUGE
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    argv = ["track", "--detections", str(parallel_walk / "detections.jsonl"),
+            "--depth-dir", str(parallel_walk / "depth"), "--config", str(config_path),
+            "--out", str(tmp_path / "tracks.jsonl")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {config_path}: int too large to convert to float\n"
     assert not (tmp_path / "tracks.jsonl").exists()

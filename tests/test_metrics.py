@@ -278,8 +278,7 @@ def test_auc_equals_mean_of_constituents():
     pred = Pose3D(joints=pred_joints, root_index=gt_pose.root_index,
                   skeleton_id=gt_pose.skeleton_id)
     pairs = [(gt_pose, pred)]
-    manual = np.mean([pck3d_rel(pairs, tau=t, with_auc=False).pck_rel
-                      for t in AUC_THRESHOLDS])
+    manual = np.mean([pck3d_rel(pairs, tau=t).pck_rel for t in AUC_THRESHOLDS])
     assert auc_rel(pairs) == manual
 
 

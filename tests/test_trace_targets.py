@@ -56,10 +56,14 @@ def test_run_sequence_calls_through_the_patched_names(monkeypatch):
     counting(pose3d, "lift_pose")
     counting(geometry, "depth_extrema")
     counting(tracking, "predict")
+    for attr in ("associate", "assign_by_iou", "iou3d_matrix"):
+        counting(tracking, attr)
     seq, _ = generate(builtin("full_occlusion"))
     tracks = tracking.run_sequence(seq, TrackerConfig())
     detections = sum(len(frame.detections) for frame in seq.frames)
     predicted = sum(s.kind == tracking.PREDICTED for t in tracks for s in t.states)
     assert detections > 0 and predicted > 0
+    frames = len(seq.frames)
     assert calls == {"lift_pose": detections, "depth_extrema": detections,
-                     "predict": predicted}
+                     "predict": predicted, "associate": frames, "assign_by_iou": frames,
+                     "iou3d_matrix": frames}

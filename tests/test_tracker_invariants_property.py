@@ -10,9 +10,15 @@ Whatever the configuration, after ``finalize``:
 * no track starts or ends on a prediction, and no gap outlasts ``max_gap``;
 * track ids are dense (0..n-1) and monotone in birth order, and tracks born
   in one frame take ids in descending score order.
+
+Separately, the tracks do not depend on the order of a frame's detections
+when scores are distinct and coordinates continuous (so no IOU ties).
+Those sequences come from seeded NumPy: Hypothesis shrinking would hunt for
+the exact ties that the property excludes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +33,12 @@ MASK = Mask2D(width=WIDTH, height=HEIGHT, runs=((0, WIDTH * HEIGHT),))
 KEYPOINTS = Keypoints2D(joints=np.tile([1.0, 1.0, 1.0], (BASIC15.joint_count, 1)))
 
 
-def _item(frame, x, z, score):
+def _item(frame, x, z, score, half=(0.4, 0.9, 0.3)):
     det = Detection(frame_index=frame,
                     box=Box2D(320.0 + 10.0 * x - 4.0, 100.0, 320.0 + 10.0 * x + 4.0, 300.0),
                     mask=MASK, keypoints=KEYPOINTS, score=score)
-    box = Box3D(x - 0.4, x + 0.4, -0.9, 0.9, z - 0.3, z + 0.3)
+    hx, hy, hz = half
+    box = Box3D(x - hx, x + hx, -hy, hy, z - hz, z + hz)
     joints = np.tile([x, 0.0, z, 1.0], (BASIC15.joint_count, 1))
     pose = Pose3D(joints=joints, root_index=BASIC15.root_index, skeleton_id=BASIC15.name)
     return det, box, pose
@@ -112,3 +119,55 @@ def test_tracker_invariants_hold_on_random_sequences(scene):
     for a, b in zip(tracks, tracks[1:]):
         if a.birth_frame == b.birth_frame:
             assert a.states[0].detection.score >= b.states[0].detection.score
+
+
+def _continuous_sequence(seed, mode):
+    """(tracker config, frame indices, per-frame items) with continuous
+    positions and box sizes, distinct scores, dropped detections, clutter
+    and skipped frame indices."""
+    rng = np.random.default_rng(seed)
+    cfg = TrackerConfig(
+        # A gate of 0 would let IOU-0 pairs match on the tie bonus alone,
+        # which is positional by definition.
+        iou_gate=float(rng.choice([0.1, 0.3, 0.5])),
+        max_gap=int(rng.integers(0, 4)),
+        predictor_window=int(rng.integers(1, 4)),
+        association_mode=mode,
+        min_track_score=float(rng.choice([0.0, 0.5])),
+    )
+    people, n_frames = int(rng.integers(2, 7)), int(rng.integers(4, 13))
+    start = rng.uniform([-3.0, 5.0], [3.0, 10.0], (people, 2))  # x, z
+    velocity = rng.normal(0.0, 0.15, (people, 2))
+    half = rng.uniform(0.25, 0.5, (people, 3))
+    frames = np.cumsum(rng.integers(1, 3, n_frames)).tolist()
+    items = []
+    for frame in frames:
+        people_here = np.flatnonzero(rng.random(people) < 0.8).tolist()
+        spots = [(start[p] + velocity[p] * frame + rng.normal(0.0, 0.03, 2), half[p])
+                 for p in people_here]
+        spots += [(rng.uniform([-3.0, 5.0], [3.0, 10.0]), rng.uniform(0.2, 0.5, 3))
+                  for _ in range(int(rng.integers(0, 3)))]  # clutter
+        scores = rng.uniform(0.0, 1.0, len(spots))  # distinct almost surely
+        items.append([_item(frame, float(x), float(z), float(score), half=h.tolist())
+                      for ((x, z), h), score in zip(spots, scores)])
+    return cfg, frames, items
+
+
+def _tracks_summary(cfg, frames, items):
+    tracker = Tracker(cfg)
+    for frame, row in zip(frames, items):
+        tracker.step(frame, row)
+    return [(t.track_id, t.birth_frame,
+             [(s.frame_index, s.kind, s.box3d, id(s.detection)) for s in t.states])
+            for t in tracker.finalize()]
+
+
+@pytest.mark.parametrize("mode", ["iou3d", "iou2d"])
+def test_tracks_do_not_depend_on_detection_order(mode):
+    for seed in range(150):
+        cfg, frames, items = _continuous_sequence(seed, mode)
+        expected = _tracks_summary(cfg, frames, items)
+        shuffle = np.random.default_rng(10_000 + seed)
+        for _ in range(2):
+            shuffled = [[row[i] for i in shuffle.permutation(len(row))] for row in items]
+            assert _tracks_summary(cfg, frames, shuffled) == expected, seed

@@ -117,21 +117,19 @@ def test_associate_with_boxes_and_gate_soundness():
     rng = np.random.default_rng(77)
     for _ in range(50):
         n, m = rng.integers(0, 6, size=2)
-        tracks = [(tid, make_box(*rng.uniform(0, 2, size=3), half=rng.uniform(0.3, 1.0)))
-                  for tid in range(n)]
-        dets = [(d, make_box(*rng.uniform(0, 2, size=3), half=rng.uniform(0.3, 1.0)))
-                for d in range(m)]
-        res = associate(tracks, dets, gate=0.3, mode="iou3d")
-        by_track = dict(tracks)
-        by_det = dict(dets)
+        tracks = [make_box(*rng.uniform(0, 2, size=3), half=rng.uniform(0.3, 1.0))
+                  for _ in range(n)]
+        dets = [make_box(*rng.uniform(0, 2, size=3), half=rng.uniform(0.3, 1.0))
+                for _ in range(m)]
+        pairs, unmatched_tracks, unmatched_dets = associate(tracks, dets, gate=0.3, mode="iou3d")
         seen_t, seen_d = set(), set()
-        for tid, d in res.matches:
-            assert iou3d(by_track[tid], by_det[d]) >= 0.3
-            assert tid not in seen_t and d not in seen_d
-            seen_t.add(tid)
+        for t, d in pairs:
+            assert iou3d(tracks[t], dets[d]) >= 0.3
+            assert t not in seen_t and d not in seen_d
+            seen_t.add(t)
             seen_d.add(d)
-        assert set(res.unmatched_tracks) == set(range(n)) - seen_t
-        assert set(res.unmatched_detections) == set(range(m)) - seen_d
+        assert set(unmatched_tracks) == set(range(n)) - seen_t
+        assert set(unmatched_dets) == set(range(m)) - seen_d
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +188,23 @@ def test_predicted_state_extrapolates_to_stepped_frame():
     state = tracker.live[0].last_state
     assert state.frame_index == 5
     assert math.isclose(state.pose3d.root[0], 0.5, abs_tol=1e-12)
+
+
+def test_prediction_of_a_narrowing_box_keeps_the_last_observed_box():
+    # x extents [0, 1], [0.2, 0.8], [0.3, 0.7] fit to [0.47, 0.53] at frame 3
+    # and to the inverted [0.62, 0.38] at frame 4.
+    tracker = Tracker(TrackerConfig())
+    for frame, (x0, x1) in enumerate([(0.0, 1.0), (0.2, 0.8), (0.3, 0.7)]):
+        det, _, pose = make_item(0.5, 0.5, 3.0)
+        tracker.step(frame, [(det, Box3D(x0, x1, 0.0, 1.0, 2.5, 3.5), pose)])
+    tracker.step(3, [])
+    tracker.step(4, [])
+    track, = tracker.live
+    first, second = track.states[3:]
+    assert first.kind == second.kind == PREDICTED
+    assert math.isclose(first.box3d.x_min, 0.3 + 0.5 / 3, abs_tol=1e-12)
+    assert math.isclose(first.box3d.x_max, 0.7 - 0.5 / 3, abs_tol=1e-12)
+    assert second.box3d == track.states[2].box3d
 
 
 # ---------------------------------------------------------------------------
