@@ -25,7 +25,6 @@ from .ingest import (
     PredictorSpec,
     SequenceInput,
     TrackerConfig,
-    decode_mask,
     encode_mask,
     load_config,
     load_depth,
@@ -56,7 +55,7 @@ __all__ = [
     "MetricConfig", "MotReport", "PckReport", "Pose3D", "PredictorSpec",
     "Scenario", "SceneDocument", "SequenceInput", "Track", "Tracker",
     "TrackerConfig", "TrackState",
-    "associate", "auc_rel", "builtin", "decode_mask", "depth_extrema",
+    "associate", "auc_rel", "builtin", "depth_extrema",
     "encode_mask", "export_scene", "generate", "iou2d", "iou3d", "lift_box",
     "lift_pose", "load_config", "load_depth", "load_sequence", "match_frame",
     "mota", "parse_detections", "pck3d_rel", "predict",

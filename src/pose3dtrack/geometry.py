@@ -34,17 +34,6 @@ class Box3D:
                 f"y[{self.y_min}, {self.y_max}] z[{self.z_min}, {self.z_max}]"
             )
 
-    @property
-    def volume(self) -> float:
-        return ((self.x_max - self.x_min)
-                * (self.y_max - self.y_min)
-                * (self.z_max - self.z_min))
-
-    def translated(self, dx: float, dy: float, dz: float) -> "Box3D":
-        return Box3D(self.x_min + dx, self.x_max + dx,
-                     self.y_min + dy, self.y_max + dy,
-                     self.z_min + dz, self.z_max + dz)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x_min, self.x_max, self.y_min,
                          self.y_max, self.z_min, self.z_max], dtype=np.float64)

@@ -107,12 +107,6 @@ class CameraModel:
         y = (v - self.cy) * z * self.world_scale / self.fy
         return x, y
 
-    def project(self, x: float, y: float, z: float) -> tuple[float, float]:
-        """Inverse of :meth:`back_project` for the same depth z."""
-        u = x * self.fx / (z * self.world_scale) + self.cx
-        v = y * self.fy / (z * self.world_scale) + self.cy
-        return u, v
-
 
 @dataclass(frozen=True)
 class Box2D:
@@ -218,14 +212,6 @@ class Mask2D:
             return NotImplemented
         return ((self.width, self.height) == (other.width, other.height)
                 and np.array_equal(self.runs, other.runs))
-
-
-def decode_mask(mask: Mask2D) -> set[int]:
-    """Exact set of row-major pixel indices covered by the mask."""
-    covered: set[int] = set()
-    for start, length in mask.runs.tolist():
-        covered.update(range(start, start + length))
-    return covered
 
 
 def mask_indices(mask: Mask2D) -> np.ndarray:
@@ -408,24 +394,32 @@ class FrameDetections:
     detections: tuple[Detection, ...]
 
 
-def _detection_from_obj(obj: dict, skeleton_id: str) -> Detection:
+def _json_int(value: Any, name: str, path: Path, lineno: int) -> int:
+    """``value`` if it is a JSON integer (not a bool), else a ParseError naming it."""
+    if type(value) is not int:
+        raise ParseError(f"{path}: {name!r} must be a JSON integer, got {value!r}", line=lineno)
+    return value
+
+
+def _detection_from_obj(obj: dict, skeleton_id: str, path: Path, lineno: int) -> Detection:
     box = Box2D(*(float(v) for v in obj["box"]))
     m = obj["mask"]
     runs = m["runs"]
     if not set(map(len, runs)) <= {2}:
         raise ValueError("a mask run is not a [start, length] pair")
-    mask = Mask2D(
-        width=int(m["w"]),
-        height=int(m["h"]),
-        runs=np.fromiter(itertools.chain.from_iterable(runs), dtype=np.int64,
-                         count=2 * len(runs)).reshape(-1, 2),
-    )
+    values = list(itertools.chain.from_iterable(runs))
+    runs = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
+    if not set(map(type, values)) <= {int}:  # name the first non-integer
+        for i, value in enumerate(values):
+            _json_int(value, f"runs[{i // 2}][{i % 2}]", path, lineno)
+    mask = Mask2D(width=_json_int(m["w"], "w", path, lineno),
+                  height=_json_int(m["h"], "h", path, lineno), runs=runs)
     kps = Keypoints2D(
         joints=np.asarray(obj["keypoints"], dtype=np.float64),
         skeleton_id=skeleton_id,
     )
     return Detection(
-        frame_index=int(obj["frame"]),
+        frame_index=_json_int(obj["frame"], "frame", path, lineno),
         box=box.clamp(mask.width, mask.height),
         mask=mask,
         keypoints=kps,
@@ -437,13 +431,14 @@ def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[
     """Parse a JSON-lines detections file, grouped and sorted by frame.
 
     Within a frame, detections are ordered by descending score with input
-    order as the stable tiebreak.
+    order as the stable tiebreak.  ``frame``, ``w``, ``h`` and every mask
+    run value must be JSON integers.
     """
     path = Path(path)
     records: list[tuple[int, float, int, Detection]] = []
     for lineno, obj in _json_lines(path):
         try:
-            det = _detection_from_obj(obj, skeleton_id)
+            det = _detection_from_obj(obj, skeleton_id, path, lineno)
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: missing or malformed field ({e})", line=lineno) from None
         except OverflowError as e:

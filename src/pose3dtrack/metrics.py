@@ -15,17 +15,14 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EvaluationError
 from .ingest import get_skeleton
 from .pose3d import Pose3D
-from .tracking import OBSERVED, Track
+from .tracking import OBSERVED, Track, canonical_matching
 
 # Threshold grid for the area-under-curve score: 5 mm steps up to 150 mm.
 AUC_THRESHOLDS = tuple(0.005 * k for k in range(1, 31))
-
-_TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,22 +111,26 @@ def match_frame(
     """Optimal one-to-one (gt_id, track_id) matching by root distance.
 
     Maximizes the number of pairs within `radius`, minimizing total root
-    distance among them; ties break toward the lowest gt_id.
+    distance among them.  Exact ties follow
+    :func:`~pose3dtrack.tracking.canonical_matching` over both sides in id
+    order: gt_ids in ascending order each take the lowest track_id still
+    possible.
     """
     _check_radius(radius)
     if not gts or not preds:
         return []
     gts = sorted(gts, key=lambda g: g[0])
+    preds = sorted(preds, key=lambda p: p[0])
     g_roots = np.stack([pose.root for _, pose in gts])
     p_roots = np.stack([pose.root for _, pose in preds])
     dist = np.linalg.norm(g_roots[:, None, :] - p_roots[None, :, :], axis=2)
     n, m = dist.shape
+    within = dist <= radius
     big = max(1e9, radius * (n + m) * 10.0)
-    order = np.arange(n * m, dtype=np.float64).reshape(n, m)
-    cost = np.where(dist <= radius, dist + _TIE_EPS * order / (n * m), big)
-    rows, cols = linear_sum_assignment(cost)
-    return [(gts[r][0], preds[c][0]) for r, c in zip(rows, cols)
-            if dist[r, c] <= radius]
+    pairs = canonical_matching(
+        np.where(within, dist, big), within,
+        lambda pairs: (len(pairs), -math.fsum(dist[r, c] for r, c in pairs)))
+    return [(gts[r][0], preds[c][0]) for r, c in pairs]
 
 
 # ---------------------------------------------------------------------------

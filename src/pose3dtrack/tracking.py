@@ -11,6 +11,8 @@ ends, so gaps are bridged but exits are never hallucinated.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from .ingest import (
     SequenceInput,
     Skeleton,
     TrackerConfig,
+    _json_int,
     _json_lines,
     get_skeleton,
 )
@@ -36,10 +39,6 @@ from .pose3d import Pose3D
 
 OBSERVED = "obs"
 PREDICTED = "pred"
-
-# Breaks exact assignment ties toward low (track, detection) index pairs
-# without disturbing genuinely different totals.
-_TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,51 +76,77 @@ class Track:
 # Assignment
 # ---------------------------------------------------------------------------
 
+def canonical_matching(cost: np.ndarray, allowed: np.ndarray,
+                       value: Callable) -> list[tuple[int, int]]:
+    """The canonical maximum-``value`` matching of rows to columns, by row.
+
+    The rule: among the matchings of ``allowed`` pairs with maximal
+    ``value(pairs)``, rows in ascending order each take the lowest column
+    still possible, and staying unmatched ranks after every column.  A
+    minimum-``cost`` assignment without its disallowed pairs must have
+    maximal value; ``value`` should sum exactly (``math.fsum``).
+
+    One ``linear_sum_assignment`` gives a maximal matching.  A row is
+    movable when an allowed column below its own (any, if it is unmatched)
+    is held by no earlier row; with none, no matching ranks before this
+    one.  Else the first movable row tries those columns in ascending
+    order, solving the later rows again, keeps the first that stays
+    maximal, and the scan goes on from the next row.
+    """
+    n, m = cost.shape
+
+    def pairs(col: np.ndarray) -> list[tuple[int, int]]:
+        return [(r, c) for r, c in enumerate(col.tolist()) if c < m]
+
+    col = np.full(n, m)  # each row's column; m: unmatched
+    rows, cols = linear_sum_assignment(cost)
+    keep = allowed[rows, cols]
+    col[rows[keep]] = cols[keep]
+    row_ids, col_ids = np.arange(n), np.arange(m)
+    start, best = 0, None
+    while True:
+        owner = np.full(m + 1, n)
+        owner[col] = row_ids  # owner[m] collects the unmatched rows; unused
+        movable = allowed & (col_ids < col[:, None]) & (owner[:m] >= row_ids[:, None])
+        movable[:start] = False
+        hits = np.flatnonzero(movable.any(axis=1))
+        if not hits.size:
+            return pairs(col)
+        r = int(hits[0])
+        best = value(pairs(col)) if best is None else best
+        for c in np.flatnonzero(movable[r]).tolist():
+            trial = col.copy()
+            trial[r], trial[r + 1:] = c, m
+            free = np.setdiff1d(col_ids, trial[:r + 1])
+            sub_r, sub_c = linear_sum_assignment(cost[r + 1:][:, free])
+            keep = allowed[sub_r + r + 1, free[sub_c]]
+            trial[sub_r[keep] + r + 1] = free[sub_c[keep]]
+            if (trial_value := value(pairs(trial))) >= best:
+                col, best = trial, trial_value
+                break
+        start = r + 1
+
+
 def assign_by_iou(iou: np.ndarray, gate: float) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Maximum-total-IOU one-to-one assignment over pairs with IOU >= gate.
+    """Maximum-total-IOU one-to-one assignment over pairs that overlap
+    (IOU > 0) and pass the gate (IOU >= gate).
 
     Returns (pairs, unmatched_rows, unmatched_cols) in row/column indices.
-    Pairs below the gate contribute nothing to the objective, so dropping
-    them afterwards leaves an optimal gated matching.  Exact ties resolve
-    toward the lowest row index, then the lowest column index.
+    Exact ties follow :func:`canonical_matching`: rows in ascending order
+    each take the lowest column still possible.
     """
     iou = np.asarray(iou, dtype=np.float64)
     n, m = iou.shape
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
-    weights = np.where(iou >= gate, iou, 0.0)
-    # The bonus steers column-subset ties toward low columns; permutation
-    # ties cancel it out and are handled by the swap pass below.
-    order = np.arange(n * m, dtype=np.float64).reshape(n, m)
-    tie = np.where(iou >= gate, _TIE_EPS * (1.0 - order / (n * m)), 0.0)
-    rows, cols = linear_sum_assignment(weights + tie, maximize=True)
-    pairs = sorted((int(r), int(c)) for r, c in zip(rows, cols) if iou[r, c] >= gate)
-    _canonicalize_ties(pairs, weights, iou, gate)
+    allowed = (iou > 0.0) & (iou >= gate)
+    pairs = canonical_matching(-np.where(allowed, iou, 0.0), allowed,
+                               lambda pairs: math.fsum(iou[r, c] for r, c in pairs))
     matched_r = {r for r, _ in pairs}
     matched_c = {c for _, c in pairs}
     return (pairs,
             [r for r in range(n) if r not in matched_r],
             [c for c in range(m) if c not in matched_c])
-
-
-def _canonicalize_ties(pairs: list[tuple[int, int]], weights: np.ndarray,
-                       iou: np.ndarray, gate: float) -> None:
-    """Swap equal-total pair exchanges so low rows get low columns."""
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                (r1, c1), (r2, c2) = pairs[a], pairs[b]
-                if c2 >= c1:
-                    continue
-                if iou[r1, c2] < gate or iou[r2, c1] < gate:
-                    continue
-                if weights[r1, c2] + weights[r2, c1] == weights[r1, c1] + weights[r2, c2]:
-                    pairs[a], pairs[b] = (r1, c2), (r2, c1)
-                    changed = True
-        if changed:
-            pairs.sort()
 
 
 def associate(
@@ -134,8 +159,8 @@ def associate(
 
     Box types must match the mode: Box3D for "iou3d", Box2D for "iou2d".
     Returns :func:`assign_by_iou`'s (pairs, unmatched_tracks,
-    unmatched_detections) as positions in the two lists; ties break toward
-    the lowest track position, then the lowest detection position.
+    unmatched_detections) as positions in the two lists; at exact ties,
+    tracks in list order each take the lowest detection position possible.
     """
     if mode == "iou3d":
         iou = iou3d_matrix(
@@ -387,15 +412,6 @@ def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:
             for frame, kind, box, pose in zip(frames, kinds, boxes.tolist(), joints)]
 
 
-def _json_int(obj: dict, key: str, path: Path, lineno: int) -> int:
-    """``obj[key]`` when it is a JSON integer (bool excluded), else a
-    ParseError naming the file and line."""
-    value = obj[key]
-    if type(value) is not int:
-        raise ParseError(f"{path}: {key!r} must be a JSON integer, got {value!r}", line=lineno)
-    return value
-
-
 def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     """Read a tracks (or ground-truth) file; returns (header, tracks).
 
@@ -416,8 +432,8 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                 continue
             skeleton_id = header.get("skeleton", "basic15")
             skel = get_skeleton(skeleton_id)
-            track = Track(track_id=_json_int(obj, "id", path, lineno),
-                          birth_frame=_json_int(obj, "birth", path, lineno))
+            track = Track(track_id=_json_int(obj["id"], "id", path, lineno),
+                          birth_frame=_json_int(obj["birth"], "birth", path, lineno))
             states = _states_from_arrays(obj["states"], skel)
             if states is None:  # a state is bad: read state by state to name it
                 states = []
@@ -426,7 +442,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                         raise ParseError(
                             f"{path}: unknown state kind {s['kind']!r}", line=lineno)
                     states.append(TrackState(
-                        frame_index=_json_int(s, "frame", path, lineno),
+                        frame_index=_json_int(s["frame"], "frame", path, lineno),
                         kind=s["kind"],
                         box3d=Box3D.from_array(s["box3d"]),
                         pose3d=_pose_from_list(s["pose3d"], skeleton_id, skel.root_index),

@@ -20,6 +20,34 @@ from pose3dtrack.metrics import AUC_THRESHOLDS, PckReport
 from pose3dtrack.tracking import OBSERVED, PREDICTED, Track, TrackState, _pose_from_list
 
 
+# ---------------------------------------------------------------------------
+# Small helpers that only the tests need
+# ---------------------------------------------------------------------------
+
+def decode_mask(mask) -> set[int]:
+    """Exact set of row-major pixel indices covered by a Mask2D."""
+    covered: set[int] = set()
+    for start, length in mask.runs.tolist():
+        covered.update(range(start, start + length))
+    return covered
+
+
+def box_volume(box: Box3D) -> float:
+    return (box.x_max - box.x_min) * (box.y_max - box.y_min) * (box.z_max - box.z_min)
+
+
+def translated(box: Box3D, dx: float, dy: float, dz: float) -> Box3D:
+    return Box3D(box.x_min + dx, box.x_max + dx, box.y_min + dy, box.y_max + dy,
+                 box.z_min + dz, box.z_max + dz)
+
+
+def project(cam, x: float, y: float, z: float) -> tuple[float, float]:
+    """Pixel (u, v) of the point (x, y, z): the inverse of
+    ``CameraModel.back_project`` at the same depth z."""
+    return (x * cam.fx / (z * cam.world_scale) + cam.cx,
+            y * cam.fy / (z * cam.world_scale) + cam.cy)
+
+
 def iou3d_cell_oracle(a, b) -> float:
     """Exact IOU by enumerating the axis-breakpoint cells of the box pair.
 
@@ -121,6 +149,26 @@ def best_assignment_total(iou: np.ndarray, gate: float) -> float:
         perms = np.array(list(itertools.permutations(range(n), m)))
         totals = w[perms, np.arange(m)[None, :]].sum(axis=1)
     return float(totals.max())
+
+
+def reference_canonical_matching(allowed, value) -> list[tuple[int, int]]:
+    """The tie rule by enumeration: every matching of ``allowed`` pairs is
+    listed, the maximum ``value(pairs)`` kept, and among those the least in
+    row order (row 0's column, then row 1's, ...), an unmatched row ranking
+    after every column.  ``value`` should be exact (say, Fraction sums)."""
+    allowed = np.asarray(allowed, dtype=bool)
+    n, m = allowed.shape
+    options = [[c for c in range(m) if allowed[r, c]] + [None] for r in range(n)]
+    best_key, best = None, []
+    for choice in itertools.product(*options):
+        used = [c for c in choice if c is not None]
+        if len(used) != len(set(used)):
+            continue
+        pairs = [(r, c) for r, c in enumerate(choice) if c is not None]
+        key = (value(pairs), tuple(-(m if c is None else c) for c in choice))
+        if best_key is None or key > best_key:
+            best_key, best = key, pairs
+    return best
 
 
 def clear_frame_counts(gts, preds, prev_assignment, radius):
@@ -313,7 +361,7 @@ def reference_iou3d(a, b) -> float:
           * _overlap(a.z_min, a.z_max, b.z_min, b.z_max))
     if ov == 0.0:
         return 0.0
-    return ov / (a.volume + b.volume - ov)
+    return ov / (box_volume(a) + box_volume(b) - ov)
 
 
 def reference_iou2d(a, b) -> float:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from oracles import best_assignment_total, extrema_pixel_scan, iou3d_cell_oracle
+from oracles import best_assignment_total, extrema_pixel_scan, iou3d_cell_oracle, translated
 from pose3dtrack.cli import main as cli_main
 from pose3dtrack.geometry import Box3D, depth_extrema, iou3d
 from pose3dtrack.ingest import (
@@ -51,7 +51,7 @@ def test_c1_geometry_oracle_suite():
         assert got == iou3d(b, a)
         assert iou3d(a, a) == 1.0
         t = tuple(float(v) for v in rng.integers(-5, 6, size=3))
-        assert iou3d(a.translated(*t), b.translated(*t)) == got
+        assert iou3d(translated(a, *t), translated(b, *t)) == got
         if got == 0.0:
             disjoint_seen += 1
             assert (a.x_max <= b.x_min or b.x_max <= a.x_min

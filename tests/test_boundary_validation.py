@@ -164,6 +164,52 @@ def test_parse_run_value_at_int64_max_is_checked_against_the_frame(tmp_path):
         parse_detections(path)
 
 
+def _detection_record_file(tmp_path, field, value):
+    """A valid detection on line 1; on line 2 the same with ``field``
+    (``frame``, ``w``, ``h`` or ``runs``) set to ``value``."""
+    obj = {"frame": 0, "box": [0.0, 0.0, 3.0, 3.0], "mask": {"w": 10, "h": 4, "runs": [[0, 4]]},
+           "keypoints": [[1.0, 1.0, 1.0]] * 15, "score": 0.9}
+    path = tmp_path / "detections.jsonl"
+    lines = [json.dumps(obj)]
+    (obj if field == "frame" else obj["mask"])[field] = value
+    path.write_text("\n".join([*lines, json.dumps(obj)]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frame", 0.9), ("frame", 0.0), ("frame", True), ("frame", "0"), ("frame", None),
+    ("w", 10.7), ("w", 10.0), ("w", "10"), ("h", True), ("h", 4.0),
+], ids=repr)
+def test_parse_detection_dimension_or_frame_must_be_a_json_integer(tmp_path, field, value):
+    path = _detection_record_file(tmp_path, field, value)
+    with pytest.raises(ParseError) as info:
+        parse_detections(path)
+    assert str(info.value) == f"line 2: {path}: {field!r} must be a JSON integer, got {value!r}"
+
+
+@pytest.mark.parametrize("runs, name, value", [
+    ([[0.7, 4.9], ["6", True]], "runs[0][0]", 0.7),
+    ([[0, 4], ["6", True]], "runs[1][0]", "6"),
+    ([[0, 4], [6, True]], "runs[1][1]", True),
+    ([[0, 4.0]], "runs[0][1]", 4.0),
+    ([[-0.0, 4]], "runs[0][0]", -0.0),
+], ids=repr)
+def test_parse_mask_run_value_must_be_a_json_integer(tmp_path, runs, name, value):
+    path = _detection_record_file(tmp_path, "runs", runs)
+    with pytest.raises(ParseError) as info:
+        parse_detections(path)
+    assert str(info.value) == f"line 2: {path}: {name!r} must be a JSON integer, got {value!r}"
+
+
+def test_parse_reads_integer_fields_exactly(tmp_path):
+    path = _detection_record_file(tmp_path, "runs", [[0, 4], [6, 2], [39, 1]])
+    frames = parse_detections(path)
+    assert [f.frame_index for f in frames] == [0]
+    mask = frames[0].detections[1].mask
+    assert (type(mask.width), type(mask.height), mask.width, mask.height) == (int, int, 10, 4)
+    assert mask.runs.tolist() == [[0, 4], [6, 2], [39, 1]]
+
+
 # ---------------------------------------------------------------------------
 # Tracks file records
 # ---------------------------------------------------------------------------

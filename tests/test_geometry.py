@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import extrema_pixel_scan, iou3d_cell_oracle, iou3d_voxel_oracle
+from oracles import extrema_pixel_scan, iou3d_cell_oracle, iou3d_voxel_oracle, translated
 from pose3dtrack.errors import EmptySupportError, ValidationError
 from pose3dtrack.geometry import (
     Box3D,
@@ -83,7 +83,7 @@ def test_iou3d_translation_invariance_exact_on_grid():
     for _ in range(200):
         a, b = grid_box(rng), grid_box(rng)
         t = tuple(float(v) for v in rng.integers(-5, 6, size=3))
-        assert iou3d(a.translated(*t), b.translated(*t)) == iou3d(a, b)
+        assert iou3d(translated(a, *t), translated(b, *t)) == iou3d(a, b)
 
 
 def test_iou3d_matrix_matches_scalar():

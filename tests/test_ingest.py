@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import decode_mask, project
 from pose3dtrack.errors import ParseError, ValidationError
 from pose3dtrack.ingest import (
     BASIC15,
@@ -16,7 +17,6 @@ from pose3dtrack.ingest import (
     Keypoints2D,
     Mask2D,
     config_from_dict,
-    decode_mask,
     encode_mask,
     load_config,
     load_depth,
@@ -295,7 +295,7 @@ def test_camera_project_round_trip():
         u, v = rng.uniform(0, 640), rng.uniform(0, 480)
         z = rng.uniform(0.5, 20.0)
         x, y = cam.back_project(u, v, z)
-        u2, v2 = cam.project(x, y, z)
+        u2, v2 = project(cam, x, y, z)
         assert math.isclose(u, u2, abs_tol=1e-6)
         assert math.isclose(v, v2, abs_tol=1e-6)
 

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_iou2d, reference_iou3d
+from oracles import reference_iou2d, reference_iou3d, translated
 from pose3dtrack.geometry import Box3D, iou2d, iou2d_matrix, iou3d, iou3d_matrix
 from pose3dtrack.ingest import Box2D
 
@@ -59,7 +59,7 @@ def test_iou3d_properties(pair, shift):
     assert v == iou3d(b, a) == matrix[1, 1]
     assert 0.0 <= v <= 1.0
     assert iou3d(a, a) == matrix[0, 1] == 1.0
-    assert iou3d(a.translated(*shift), b.translated(*shift)) == v
+    assert iou3d(translated(a, *shift), translated(b, *shift)) == v
 
 
 @SETTINGS

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    decode_mask,
     reference_depth_extrema,
     reference_lift_box,
     reference_lift_pose,
@@ -30,7 +31,6 @@ from pose3dtrack.ingest import (
     Keypoints2D,
     LifterSpec,
     LiftingConfig,
-    decode_mask,
     encode_mask,
     mask_indices,
 )

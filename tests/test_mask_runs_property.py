@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_box_overlaps_mask, reference_mask_check
+from oracles import decode_mask, reference_box_overlaps_mask, reference_mask_check
 from pose3dtrack.errors import ValidationError
-from pose3dtrack.ingest import Box2D, Mask2D, _box_overlaps_mask, decode_mask, mask_indices
+from pose3dtrack.ingest import Box2D, Mask2D, _box_overlaps_mask, mask_indices
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 

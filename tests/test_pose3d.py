@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import project
 from pose3dtrack.errors import EmptySupportError, ValidationError
 from pose3dtrack.ingest import (
     BASIC15,
@@ -133,7 +134,7 @@ def test_pinhole_round_trip_within_tolerance():
     det = detection_with_joints(joints)
     pose = lift_pose(det, constant_depth(20, 20, 3.7), cam)
     for j in range(15):
-        u, v = cam.project(*pose.joints[j, :3])
+        u, v = project(cam, *pose.joints[j, :3])
         assert math.isclose(u, joints[j, 0], abs_tol=1e-6)
         assert math.isclose(v, joints[j, 1], abs_tol=1e-6)
 

@@ -127,8 +127,8 @@ def _continuous_sequence(seed, mode):
     and skipped frame indices."""
     rng = np.random.default_rng(seed)
     cfg = TrackerConfig(
-        # A gate of 0 would let IOU-0 pairs match on the tie bonus alone,
-        # which is positional by definition.
+        # Positive gates; a gate of 0 still requires overlap (IOU > 0), which
+        # test_tracking.py::test_zero_gate_still_needs_overlap pins.
         iou_gate=float(rng.choice([0.1, 0.3, 0.5])),
         max_gap=int(rng.integers(0, 4)),
         predictor_window=int(rng.integers(1, 4)),

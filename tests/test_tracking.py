@@ -113,6 +113,15 @@ def test_assign_optimality_matches_brute_force():
             assert all(iou[r, c] >= gate for r, c in pairs)
 
 
+def test_zero_gate_still_needs_overlap():
+    tracker = Tracker(TrackerConfig(iou_gate=0.0))
+    tracker.step(0, [make_item(0.0, 0.0, 5.0), make_item(50.0, 0.0, 5.0)])
+    tracker.step(1, [make_item(100.0, 0.0, 5.0), make_item(-100.0, 0.0, 5.0)])
+    tracks = tracker.finalize()
+    # Neither far detection overlaps a track, so both spawn new tracks.
+    assert [(t.birth_frame, len(t.states)) for t in tracks] == [(0, 1), (0, 1), (1, 1), (1, 1)]
+
+
 def test_associate_with_boxes_and_gate_soundness():
     rng = np.random.default_rng(77)
     for _ in range(50):
