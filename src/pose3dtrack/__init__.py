@@ -33,7 +33,7 @@ from .ingest import (
     write_depth,
 )
 from .geometry import Box3D, depth_extrema, iou2d, iou3d, lift_box
-from .pose3d import Pose3D, lift_pose
+from .pose3d import Pose3D, lift_pose, lift_poses
 from .tracking import (
     Track,
     Tracker,
@@ -57,8 +57,8 @@ __all__ = [
     "TrackerConfig", "TrackState",
     "associate", "auc_rel", "builtin", "depth_extrema",
     "encode_mask", "export_scene", "generate", "iou2d", "iou3d", "lift_box",
-    "lift_pose", "load_config", "load_depth", "load_sequence", "match_frame",
-    "mota", "parse_detections", "pck3d_rel", "predict",
+    "lift_pose", "lift_poses", "load_config", "load_depth", "load_sequence",
+    "match_frame", "mota", "parse_detections", "pck3d_rel", "predict",
     "read_scene", "read_tracks", "run_sequence", "write_depth", "write_scene",
     "write_tracks",
     "EmptySupportError", "EvaluationError", "ParseError", "PoseTrackError",

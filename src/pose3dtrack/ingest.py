@@ -549,7 +549,7 @@ def load_sequence(
 
 @dataclass(frozen=True)
 class LifterSpec:
-    """The pose lifter: ``depth_median`` (``pose3d.lift_pose``) with its
+    """The pose lifter: ``depth_median`` (``pose3d.lift_poses``) with its
     odd window size ``patch``, checked when the config is read."""
 
     name: str = "depth_median"

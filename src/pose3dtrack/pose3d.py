@@ -2,20 +2,24 @@
 
 The lifter samples the depth map around each joint pixel instead of
 regressing root-relative offsets, so every output coordinate is traceable to
-input pixels.  It reads its windows straight from the frame's depth raster
-and the mask's runs; the only per-detection state it shares with
-:func:`~pose3dtrack.geometry.lift_box` is the person's depth span.
+input pixels.  :func:`lift_poses` lifts a whole frame's detections in one
+pass, reading the windows straight from the frame's depth raster and the
+masks' runs; :func:`lift_pose` is its one-detection call.  The only
+per-detection state it shares with :func:`~pose3dtrack.geometry.lift_box`
+is the person's depth span.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import EmptySupportError, ValidationError
 from .geometry import depth_extrema
-from .ingest import Box2D, CameraModel, Detection, DepthMap, Mask2D, get_skeleton
+from .ingest import CameraModel, Detection, DepthMap, Skeleton, get_skeleton
 
 # Unused here; kept so per-layer tracing can still patch this name on pose3d.
 from .ingest import mask_indices  # noqa: F401
@@ -48,51 +52,6 @@ class Pose3D:
         return self.joints[self.root_index, :3]
 
 
-def _window_medians(
-    depth: DepthMap,
-    mask: Mask2D,
-    box: Box2D,
-    extrema: tuple[float, float],
-    u: np.ndarray,
-    v: np.ndarray,
-    patch: int,
-) -> np.ndarray:
-    """Per-joint median valid depth over the patch window around the rounded
-    pixel (u[k], v[k]): mask pass, then depth-band box pass; NaN where
-    neither window holds a valid sample.
-
-    The windows are gathered from the whole frame.  A pixel is on the mask
-    when it lies before the end of the last run starting at or before it.
-    The box pass keeps only samples inside [z_min, z_max], which keeps an
-    overlapping person's surface from leaking into this person's joints.
-    """
-    h, w = depth.values.shape
-    offsets = np.arange(-(patch // 2), patch // 2 + 1)
-    rows, in_rows = _window_axis(v, h, offsets)
-    cols, in_cols = _window_axis(u, w, offsets)
-    win_r, win_c = rows[:, :, None], cols[:, None, :]  # (joints, patch, 1), (joints, 1, patch)
-    vals = depth.values[win_r, win_c].reshape(u.size, -1)
-    valid = (in_rows[:, :, None] & in_cols[:, None, :]).reshape(u.size, -1)
-    valid &= vals > 0.0
-    pixel = (win_r * w + win_c).reshape(u.size, -1)
-    starts = mask.runs[:, 0]
-    run = np.searchsorted(starts, pixel, side="right") - 1  # last run starting at or before
-    on_mask = (run >= 0) & (pixel < (starts + mask.runs[:, 1])[run])
-    z = _medians(vals, valid & on_mask)
-    missing = np.isnan(z)
-    if missing.any():
-        c0, c1, r0, r1 = box.pixel_bounds(w, h)
-        in_box = (((rows >= r0) & (rows <= r1))[:, :, None]
-                  & ((cols >= c0) & (cols <= c1))[:, None, :])
-        z_min, z_max = extrema
-        wide = vals.astype(np.float64)  # the band is compared in float64
-        valid &= in_box.reshape(u.size, -1)
-        valid &= wide >= z_min
-        valid &= wide <= z_max
-        z[missing] = _medians(vals, valid)[missing]
-    return z
-
-
 def _window_axis(
     center: np.ndarray,
     size: int,
@@ -121,6 +80,99 @@ def _medians(vals: np.ndarray, picked: np.ndarray) -> np.ndarray:
     return np.where(n > 0, (lo + ordered[k, n // 2]) / 2.0, np.nan)
 
 
+def require_root(det: Detection) -> Skeleton:
+    """The detection's skeleton; EmptySupportError when its root joint has
+    zero confidence, since the pose then has nowhere to stand."""
+    skel = get_skeleton(det.keypoints.skeleton_id)
+    if det.keypoints.joints[skel.root_index, 2] <= 0.0:
+        raise EmptySupportError("root joint has zero confidence; cannot place pose")
+    return skel
+
+
+def _check_patch(patch: int) -> None:
+    if patch < 1 or patch % 2 == 0:
+        raise ValidationError(f"patch must be odd and >= 1, got {patch}")
+
+
+def lift_poses(
+    dets: Sequence[Detection],
+    depth: DepthMap,
+    cam: CameraModel,
+    patch: int,
+    extrema: Sequence[tuple[float, float]],
+) -> list[Pose3D]:
+    """Lift one frame's detections into world coordinates in one pass.
+
+    Per joint with confidence > 0, Z is the median valid depth over the
+    patch window on the person's mask, falling back to the window inside the
+    box and the depth band ``extrema[i]`` (which keeps an overlapping
+    person's surface out), then to the mid depth; X and Y follow from the
+    pinhole model at that Z.  Joints with confidence 0 take the root's
+    coordinates; a root with confidence 0 raises (:func:`require_root`).
+
+    Mask membership is one ``searchsorted`` over all detections' run starts,
+    detection i's runs and window pixels offset by i*H*W: a pixel is on its
+    mask when the last run starting at or before it reaches it, and every
+    run of an earlier detection ends by i*H*W.
+    """
+    _check_patch(patch)
+    if not dets:
+        return []
+    skels = [require_root(det) for det in dets]
+    counts = [skel.joint_count for skel in skels]
+    kps = np.concatenate([det.keypoints.joints for det in dets])
+    owner = np.repeat(np.arange(len(dets)), counts)
+    live = kps[:, 2] > 0.0
+    u, v, conf = kps[live].T
+    who = owner[live]
+    spans = np.array(extrema, dtype=np.float64)  # (detections, 2)
+
+    h, w = depth.values.shape
+    offsets = np.arange(-(patch // 2), patch // 2 + 1)
+    rows, in_rows = _window_axis(v, h, offsets)
+    cols, in_cols = _window_axis(u, w, offsets)
+    pixel = (rows[:, :, None] * w + cols[:, None, :]).reshape(u.size, -1)
+    vals = depth.values.take(pixel)
+    valid = (in_rows[:, :, None] & in_cols[:, None, :]).reshape(u.size, -1)
+    valid &= vals > 0.0
+    frame = h * w
+    runs = np.concatenate([det.mask.runs for det in dets])
+    starts = runs[:, 0] + np.repeat(np.arange(len(dets)) * frame,
+                                    [len(det.mask.runs) for det in dets])
+    pixel += (who * frame)[:, None]  # each joint's pixels into its detection's slot
+    run = np.searchsorted(starts, pixel, side="right") - 1  # last run starting at or before
+    on_mask = (run >= 0) & (pixel < (starts + runs[:, 1])[run])
+    z = _medians(vals, valid & on_mask)
+
+    missing = np.flatnonzero(np.isnan(z))
+    if missing.size:
+        owners = who[missing]
+        bounds = np.array([det.box.pixel_bounds(w, h) for det in dets])
+        c0, c1, r0, r1 = bounds[owners].T[:, :, None]  # each (missing, 1)
+        r, c = rows[missing], cols[missing]
+        in_box = ((r >= r0) & (r <= r1))[:, :, None] & ((c >= c0) & (c <= c1))[:, None, :]
+        z_min, z_max = spans[owners].T[:, :, None]
+        vals = vals[missing]
+        wide = vals.astype(np.float64)  # the band is compared in float64
+        picked = valid[missing] & in_box.reshape(missing.size, -1)
+        picked &= wide >= z_min
+        picked &= wide <= z_max
+        z[missing] = _medians(vals, picked)
+    fill = np.isnan(z)
+    z[fill] = ((spans[:, 0] + spans[:, 1]) / 2.0)[who[fill]]
+    x, y = cam.back_project(u, v, z)
+
+    joints = np.empty((kps.shape[0], 4), dtype=np.float64)
+    joints[live] = np.column_stack((x, y, z, conf))
+    first = list(accumulate(counts, initial=0))  # each detection's first joint row
+    roots = np.array([a + skel.root_index for a, skel in zip(first, skels)])
+    dead = ~live
+    joints[dead, :3] = joints[roots[owner[dead]], :3]
+    joints[dead, 3] = 0.0
+    return [Pose3D(joints=joints[a:b], root_index=skel.root_index, skeleton_id=skel.name)
+            for a, b, skel in zip(first, first[1:], skels)]
+
+
 def lift_pose(
     det: Detection,
     depth: DepthMap,
@@ -129,34 +181,12 @@ def lift_pose(
     percentile: float = 0.0,
     extrema: tuple[float, float] | None = None,
 ) -> Pose3D:
-    """Lift one detection's 2D keypoints into world coordinates.
-
-    Per joint with confidence > 0, Z is the median valid depth over the
-    patch window intersected with the person's mask, falling back to the
-    window intersected with the box (restricted to the person's measured
-    depth band), then to the person's mid depth.  X and Y follow from the
-    pinhole model at that Z.  Joints with confidence 0 inherit the root's
-    coordinates so pose arity stays fixed.  Precomputed ``extrema`` (from
-    :func:`~pose3dtrack.geometry.depth_extrema` with the same percentile)
-    skip measuring the depth span again.
-    """
-    if patch < 1 or patch % 2 == 0:
-        raise ValidationError(f"patch must be odd and >= 1, got {patch}")
-    skel = get_skeleton(det.keypoints.skeleton_id)
-    kps = det.keypoints.joints
-    if kps[skel.root_index, 2] <= 0.0:
-        raise EmptySupportError("root joint has zero confidence; cannot place pose")
+    """Lift one detection's 2D keypoints: the one-detection call of
+    :func:`lift_poses`.  The depth span is measured, after the patch and
+    root checks, unless ``extrema`` (from depth_extrema with the same
+    percentile) are given."""
+    _check_patch(patch)
+    require_root(det)
     if extrema is None:
         extrema = depth_extrema(depth, det.mask, det.box, percentile=percentile)
-
-    live = kps[:, 2] > 0.0
-    u, v, conf = kps[live].T
-    z = _window_medians(depth, det.mask, det.box, extrema, u, v, patch)
-    z[np.isnan(z)] = (extrema[0] + extrema[1]) / 2.0
-    x, y = cam.back_project(u, v, z)
-
-    joints = np.empty((skel.joint_count, 4), dtype=np.float64)
-    joints[live] = np.column_stack((x, y, z, conf))
-    joints[~live, :3] = joints[skel.root_index, :3]
-    joints[~live, 3] = 0.0
-    return Pose3D(joints=joints, root_index=skel.root_index, skeleton_id=skel.name)
+    return lift_poses([det], depth, cam, patch, [extrema])[0]

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-# run_sequence calls depth_extrema and lift_pose through their modules, where
-# per-layer tracing patches them.
+# run_sequence calls depth_extrema and the frame kernel lift_poses through
+# their modules, where per-layer tracing patches them.
 from . import __version__, geometry, pose3d
 from .errors import ParseError, PoseTrackError, SequencingError, ValidationError
 from .geometry import Box3D, iou2d_matrix, iou3d_matrix, lift_box
@@ -315,7 +315,8 @@ def run_sequence(
     """Lift every detection and fold the tracker over the sequence.
 
     The person's depth span is measured once per detection and shared by
-    the box and pose lifts.
+    the box lift and the frame's one pose-lifting pass.  A frame's first
+    unliftable detection, in input order, is the one reported.
     """
     lifting = lifting or LiftingConfig()
     percentile, patch = lifting.depth_percentile, lifting.lifter.patch
@@ -323,16 +324,17 @@ def run_sequence(
     for frame in seq.frames:
         try:
             depth = frame.load()
-            lifted = []
-            for det in frame.detections:
+            dets = frame.detections
+            spans, boxes = [], []
+            for det in dets:
                 extrema = geometry.depth_extrema(depth, det.mask, det.box, percentile)
-                box3d = lift_box(det.box, depth, det.mask, seq.camera,
-                                 min_thickness=lifting.min_thickness, extrema=extrema)
-                pose = pose3d.lift_pose(det, depth, seq.camera, patch=patch,
-                                        percentile=percentile, extrema=extrema)
-                lifted.append((det, box3d, pose))
+                boxes.append(lift_box(det.box, depth, det.mask, seq.camera,
+                                      min_thickness=lifting.min_thickness, extrema=extrema))
+                pose3d.require_root(det)
+                spans.append(extrema)
+            poses = pose3d.lift_poses(dets, depth, seq.camera, patch, spans)
             del depth  # one raster alive at a time: free it before the next load
-            tracker.step(frame.frame_index, lifted)
+            tracker.step(frame.frame_index, list(zip(dets, boxes, poses)))
         except PoseTrackError as e:
             raise type(e)(f"frame {frame.frame_index}: {e}") from e
     return tracker.finalize()

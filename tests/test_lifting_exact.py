@@ -1,10 +1,12 @@
 """The library's lifting path against the full-frame reference.
 
 Every seeded instance must agree exactly (``==``, not approximately) on
-depth_extrema, lift_box and lift_pose, with and without precomputed extrema.
-The generator is checked to have exercised every case the library treats
-differently from the full-frame reference (mask past the box, runs that wrap
-a row, windows at and past the frame edges, both window passes).
+depth_extrema, lift_box and lift_pose, with and without precomputed extrema,
+and every detection of a seeded multi-detection frame on the frame kernel
+lift_poses.  The generator is checked to have exercised every case the
+library treats differently from the full-frame reference (mask past the box,
+runs that wrap a row, windows at and past the frame edges, both window
+passes).
 """
 
 from collections import Counter
@@ -31,12 +33,15 @@ from pose3dtrack.ingest import (
     Keypoints2D,
     LifterSpec,
     LiftingConfig,
+    Skeleton,
     encode_mask,
     mask_indices,
+    register_skeleton,
 )
-from pose3dtrack.pose3d import lift_pose
+from pose3dtrack.pose3d import lift_pose, lift_poses
 
 INSTANCES = 300
+FRAMES = 120
 PATCHES = (1, 3, 5, 7)
 ROOT = BASIC15.root_index
 
@@ -203,6 +208,118 @@ def test_cropped_lifting_equals_full_frame_reference():
     cases += [f"patch {p}" for p in PATCHES]
     missing = [case for case in cases if not seen[case]]
     assert not missing, f"generator never produced: {missing}"
+
+
+def test_frame_kernel_equals_reference_per_detection():
+    rng = np.random.default_rng(4004)
+    seen = Counter()
+    for index in range(FRAMES):
+        w, h = int(rng.integers(6, 40)), int(rng.integers(6, 30))
+        depth = random_depth(rng, w, h)
+        cam = CameraModel(fx=rng.uniform(50.0, 800.0), fy=rng.uniform(50.0, 800.0),
+                          cx=rng.uniform(0.0, w), cy=rng.uniform(0.0, h))
+        percentile = (0.0, 1.0, float(rng.uniform(0.1, 49.0)))[index % 3]
+        patch = PATCHES[index % len(PATCHES)]
+        dets, extrema, expected, rootless = [], [], [], []
+        for _ in range(int(rng.integers(0, 7))):
+            mask, box = random_mask(rng, w, h), random_box(rng, w, h)
+            try:
+                det = Detection(frame_index=0, box=box, mask=mask,
+                                keypoints=random_keypoints(rng, mask), score=1.0)
+            except ValidationError:
+                continue  # box misses the mask
+            if det.keypoints.joints[ROOT, 2] == 0.0:
+                rootless.append(det)
+                continue
+            joints = reference_lift_pose(det, depth, cam, patch, percentile)
+            if joints is None:
+                continue  # no depth under mask ∩ box
+            dets.append(det)
+            extrema.append(reference_depth_extrema(depth, mask, box, percentile))
+            expected.append(joints)
+            if len(dets) > 1:
+                note_coverage(seen, depth, det, patch, percentile)
+
+        poses = lift_poses(dets, depth, cam, patch, extrema)
+        assert len(poses) == len(dets)
+        for got, joints in zip(poses, expected):
+            assert np.array_equal(got.joints, joints), index
+        if rootless:
+            with pytest.raises(EmptySupportError, match="^root joint"):
+                lift_poses(dets + rootless[:1], depth, cam, patch, extrema + [(1.0, 2.0)])
+        live = {int((det.keypoints.joints[:, 2] > 0.0).sum()) for det in dets}
+        seen[f"{min(len(dets), 2)} detections"] += 1
+        seen["different live-joint counts"] += len(live) > 1
+        seen["zero-confidence root"] += bool(rootless)
+
+    cases = ["0 detections", "1 detections", "2 detections", "different live-joint counts",
+             "zero-confidence root", "mask pass, even count", "mask pass, odd count",
+             "box pass, even count", "box pass, odd count", "mid-depth fallback"]
+    cases += [f"patch {p}" for p in PATCHES]
+    missing = [case for case in cases if not seen[case]]
+    assert not missing, f"generator never produced: {missing}"
+
+
+def test_frame_kernel_keeps_each_mask_to_its_own_detection():
+    # Detection 0's last run ends on the frame's last pixel, and detection
+    # 1's window reaches pixel 0, which only detection 0's mask covers: with
+    # runs and pixels offset by detection x H x W, pixel 0 of detection 1
+    # must stay off its mask, although it lies right after detection 0's run.
+    w, h = 6, 5
+    values = np.full((h, w), 3.0, dtype=np.float32)
+    values[0, 0] = 1.0
+    depth = DepthMap(width=w, height=h, values=values)
+    cam = CameraModel(fx=100.0, fy=100.0, cx=3.0, cy=2.0)
+    first = encode_mask(np.r_[0, w * h - 4:w * h], w, h)
+    second = encode_mask(np.r_[2 * w + 2:2 * w + 5, 3 * w + 2:3 * w + 5], w, h)
+    assert first.runs[-1].sum() == w * h and 0 not in mask_indices(second)
+    joints = np.full((BASIC15.joint_count, 3), (3.0, 2.0, 1.0))
+    joints[0] = (0.0, 0.0, 1.0)  # its 3x3 window holds pixel 0, off its mask and box
+    dets = [Detection(frame_index=0, box=Box2D(0.0, 0.0, 5.0, 4.0), mask=first,
+                      keypoints=Keypoints2D(joints=np.full((BASIC15.joint_count, 3),
+                                                           (5.0, 4.0, 1.0))), score=1.0),
+            Detection(frame_index=0, box=Box2D(2.0, 2.0, 4.0, 3.0), mask=second,
+                      keypoints=Keypoints2D(joints=joints), score=1.0)]
+    extrema = [depth_extrema(depth, det.mask, det.box) for det in dets]
+    poses = lift_poses(dets, depth, cam, 3, extrema)
+    for det, pose in zip(dets, poses):
+        assert np.array_equal(pose.joints, reference_lift_pose(det, depth, cam, patch=3))
+    assert poses[1].joints[0, 2] == 3.0  # mid depth, not pixel 0's 1.0
+
+
+def test_frame_kernel_mixes_skeletons():
+    # Joint counts and root rows differ per detection, so each dead joint
+    # must copy its own detection's root.
+    register_skeleton(Skeleton(name="trio", joint_names=("a", "b", "c"), root_index=1))
+    rng = np.random.default_rng(77)
+    depth = random_depth(rng, 24, 18)
+    cam = CameraModel(fx=300.0, fy=300.0, cx=12.0, cy=9.0)
+    trio = np.array([[3.0, 4.0, 0.0], [5.0, 6.0, 1.0], [30.0, 2.0, 0.5]])
+    dets, roots = [], []
+    for k, (joints, skeleton, root) in enumerate(
+            [(None, BASIC15.name, ROOT), (trio, "trio", 1), (None, BASIC15.name, ROOT)]):
+        mask = encode_mask(np.arange(24 * 18), 24, 18)
+        if joints is None:
+            joints = random_keypoints(rng, mask).joints
+            joints[ROOT] = (2.0 + 8 * k, 3.0, 1.0)
+        dets.append(Detection(frame_index=0, box=Box2D(0.0, 0.0, 23.0, 17.0), mask=mask,
+                              keypoints=Keypoints2D(joints=joints, skeleton_id=skeleton),
+                              score=1.0))
+        roots.append(root)
+    extrema = [depth_extrema(depth, det.mask, det.box) for det in dets]
+    for det, root, pose in zip(dets, roots, lift_poses(dets, depth, cam, 3, extrema)):
+        assert pose.skeleton_id == det.keypoints.skeleton_id and pose.root_index == root
+        expected = reference_lift_pose(det, depth, cam, patch=3, root_index=root)
+        assert np.array_equal(pose.joints, expected)
+
+
+def test_frame_kernel_on_an_empty_frame():
+    depth = DepthMap(width=4, height=3, values=np.ones((3, 4), dtype=np.float32))
+    cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
+    for patch in PATCHES:
+        assert lift_poses([], depth, cam, patch, []) == []
+    with pytest.raises(ValidationError, match="patch must be odd"):
+        lift_poses([], depth, cam, 4, [])
 
 
 def test_encode_mask_sorted_array_matches_set_input():

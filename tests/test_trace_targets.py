@@ -53,7 +53,7 @@ def test_run_sequence_calls_through_the_patched_names(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    counting(pose3d, "lift_pose")
+    counting(pose3d, "lift_poses")
     counting(geometry, "depth_extrema")
     counting(tracking, "predict")
     for attr in ("associate", "assign_by_iou", "iou3d_matrix"):
@@ -64,6 +64,6 @@ def test_run_sequence_calls_through_the_patched_names(monkeypatch):
     predicted = sum(s.kind == tracking.PREDICTED for t in tracks for s in t.states)
     assert detections > 0 and predicted > 0
     frames = len(seq.frames)
-    assert calls == {"lift_pose": detections, "depth_extrema": detections,
+    assert calls == {"lift_poses": frames, "depth_extrema": detections,
                      "predict": predicted, "associate": frames, "assign_by_iou": frames,
                      "iou3d_matrix": frames}

@@ -7,19 +7,23 @@ import pytest
 from oracles import best_assignment_total
 from pose3dtrack import ingest, tracking
 from pose3dtrack.cli import main as cli_main
-from pose3dtrack.errors import SequencingError
+from pose3dtrack.errors import EmptySupportError, SequencingError
 from pose3dtrack.geometry import Box3D, iou3d
 from pose3dtrack.ingest import (
     BASIC15,
     Box2D,
+    CameraModel,
+    DepthMap,
     Detection,
+    FrameInput,
     Keypoints2D,
     Mask2D,
+    SequenceInput,
     TrackerConfig,
     load_config,
     load_sequence,
 )
-from pose3dtrack.pose3d import Pose3D
+from pose3dtrack.pose3d import Pose3D, lift_pose
 from pose3dtrack.synth import builtin, generate
 from pose3dtrack.tracking import (
     OBSERVED,
@@ -318,9 +322,43 @@ def test_run_sequence_gap_produces_predicted_run():
 
 
 def test_run_sequence_empty():
-    from pose3dtrack.ingest import CameraModel, SequenceInput
     seq = SequenceInput(frames=(), camera=CameraModel(fx=1, fy=1, cx=0, cy=0))
     assert run_sequence(seq, TrackerConfig()) == []
+
+
+ROOT_MESSAGE = "frame 0: root joint has zero confidence; cannot place pose"
+SPAN_MESSAGE = "frame 0: no valid depth pixel inside mask ∩ box"
+
+
+def test_run_sequence_reports_the_first_unliftable_detection_in_input_order():
+    # An 8x4 raster with depth on its left half only.  Each detection's
+    # span is measured before its root is tested, detection by detection.
+    values = np.zeros((4, 8), dtype=np.float32)
+    values[:, :4] = 2.0
+    depth = DepthMap(width=8, height=4, values=values)
+    cam = CameraModel(fx=100.0, fy=100.0, cx=4.0, cy=2.0)
+
+    def detection(left, root_conf):
+        c0 = 0 if left else 4
+        joints = np.tile([c0 + 1.0, 1.0, 1.0], (15, 1))
+        joints[BASIC15.root_index, 2] = root_conf
+        mask = Mask2D(width=8, height=4, runs=[(r * 8 + c0, 4) for r in range(4)])
+        return Detection(frame_index=0, box=Box2D(c0, 0.0, c0 + 3.0, 3.0), mask=mask,
+                         keypoints=Keypoints2D(joints=joints), score=1.0)
+
+    def error(*dets):
+        seq = SequenceInput(frames=(FrameInput(0, dets, depth),), camera=cam)
+        with pytest.raises(EmptySupportError) as info:
+            run_sequence(seq, TrackerConfig())
+        return str(info.value)
+
+    rootless, no_depth = detection(True, 0.0), detection(False, 1.0)
+    assert error(rootless, no_depth) == ROOT_MESSAGE
+    assert error(no_depth, rootless) == SPAN_MESSAGE
+    both = detection(False, 0.0)
+    assert error(both, rootless) == SPAN_MESSAGE
+    with pytest.raises(EmptySupportError, match="^root joint"):
+        lift_pose(both, depth, cam)  # standalone, the root is tested first
 
 
 def test_no_track_ends_predicted_after_finalization():
