@@ -69,6 +69,15 @@ def clipped_extrema(vals: np.ndarray, percentile: float = 0.0) -> tuple[float, f
             _linear_percentile(vals, (100.0 - percentile) / 100))
 
 
+def check_mask_frame(mask: Mask2D, depth: DepthMap) -> None:
+    """A mask must cover the depth raster's frame, size for size."""
+    if (mask.width, mask.height) != (depth.width, depth.height):
+        raise ValidationError(
+            f"mask is {mask.width}x{mask.height} but depth is "
+            f"{depth.width}x{depth.height}"
+        )
+
+
 def depth_extrema(
     depth: DepthMap,
     mask: Mask2D,
@@ -82,11 +91,7 @@ def depth_extrema(
     inflating the person's depth span.  Only the mask pixels on the box's
     rows are decoded, and only the box's depths are read.
     """
-    if (mask.width, mask.height) != (depth.width, depth.height):
-        raise ValidationError(
-            f"mask is {mask.width}x{mask.height} but depth is "
-            f"{depth.width}x{depth.height}"
-        )
+    check_mask_frame(mask, depth)
     w = depth.width
     c0, c1, r0, r1 = box.pixel_bounds(w, depth.height)
     idx = mask_indices(mask)
@@ -139,43 +144,34 @@ def iou2d(a: Box2D, b: Box2D) -> float:
     return float(iou2d_matrix(a.as_tuple(), b.as_tuple())[0, 0])
 
 
+def _iou_matrix(a: np.ndarray, b: np.ndarray, axes: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Pairwise IOU of two box arrays; ``axes`` holds each axis's (min, max) columns."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 2 * len(axes))
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 2 * len(axes))
+    ov = np.ones((a.shape[0], b.shape[0]), dtype=np.float64)
+    size_a, size_b = np.ones(a.shape[0]), np.ones(b.shape[0])
+    for lo, hi in axes:
+        ov *= np.maximum(
+            0.0,
+            np.minimum(a[:, hi, None], b[None, :, hi])
+            - np.maximum(a[:, lo, None], b[None, :, lo]),
+        )
+        size_a *= a[:, hi] - a[:, lo]
+        size_b *= b[:, hi] - b[:, lo]
+    union = size_a[:, None] + size_b[None, :] - ov
+    with np.errstate(invalid="ignore"):
+        return np.where(ov > 0.0, ov / union, 0.0)
+
+
 def iou3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise 3D IOU for box arrays shaped (n, 6) and (m, 6).
 
     Columns are (x_min, x_max, y_min, y_max, z_min, z_max), matching
     :meth:`Box3D.as_array`.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 6)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 6)
-    ov = np.ones((a.shape[0], b.shape[0]), dtype=np.float64)
-    for lo, hi in ((0, 1), (2, 3), (4, 5)):
-        ov *= np.maximum(
-            0.0,
-            np.minimum(a[:, hi, None], b[None, :, hi])
-            - np.maximum(a[:, lo, None], b[None, :, lo]),
-        )
-    vol_a = (a[:, 1] - a[:, 0]) * (a[:, 3] - a[:, 2]) * (a[:, 5] - a[:, 4])
-    vol_b = (b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2]) * (b[:, 5] - b[:, 4])
-    union = vol_a[:, None] + vol_b[None, :] - ov
-    with np.errstate(invalid="ignore"):
-        out = np.where(ov > 0.0, ov / union, 0.0)
-    return out
+    return _iou_matrix(a, b, ((0, 1), (2, 3), (4, 5)))
 
 
 def iou2d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise 2D IOU for box arrays shaped (n, 4) and (m, 4) in xyxy order."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ov = np.ones((a.shape[0], b.shape[0]), dtype=np.float64)
-    for lo, hi in ((0, 2), (1, 3)):
-        ov *= np.maximum(
-            0.0,
-            np.minimum(a[:, hi, None], b[None, :, hi])
-            - np.maximum(a[:, lo, None], b[None, :, lo]),
-        )
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - ov
-    with np.errstate(invalid="ignore"):
-        out = np.where(ov > 0.0, ov / union, 0.0)
-    return out
+    return _iou_matrix(a, b, ((0, 2), (1, 3)))

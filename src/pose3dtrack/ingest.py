@@ -124,22 +124,25 @@ class Box2D:
                 f"{self.x_max}, {self.y_max})"
             )
 
-    def clamp(self, width: int, height: int) -> "Box2D":
+    def _clamped(self, width: int, height: int) -> tuple[float, float, float, float]:
+        """The box clamped to a width x height frame, in xyxy order."""
         x0 = min(max(self.x_min, 0.0), width - 1.0)
         x1 = min(max(self.x_max, 0.0), width - 1.0)
         y0 = min(max(self.y_min, 0.0), height - 1.0)
         y1 = min(max(self.y_max, 0.0), height - 1.0)
         if not (x0 < x1 and y0 < y1):
             raise ValidationError("Box2D: empty after clamping to image bounds")
-        return Box2D(x0, y0, x1, y1)
+        return x0, y0, x1, y1
+
+    def clamp(self, width: int, height: int) -> "Box2D":
+        return Box2D(*self._clamped(width, height))
 
     def pixel_bounds(self, width: int, height: int) -> tuple[int, int, int, int]:
         """Inclusive integer columns c0..c1 and rows r0..r1 of the pixels inside
         the box clamped to a width x height frame, as (c0, c1, r0, r1); empty
         (c0 > c1 or r0 > r1) when the clamped box holds no pixel centre."""
-        clamped = self.clamp(width, height)
-        return (math.ceil(clamped.x_min), math.floor(clamped.x_max),
-                math.ceil(clamped.y_min), math.floor(clamped.y_max))
+        x0, y0, x1, y1 = self._clamped(width, height)
+        return math.ceil(x0), math.floor(x1), math.ceil(y0), math.floor(y1)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -408,10 +411,10 @@ def _detection_from_obj(obj: dict, skeleton_id: str, path: Path, lineno: int) ->
     if not set(map(len, runs)) <= {2}:
         raise ValueError("a mask run is not a [start, length] pair")
     values = list(itertools.chain.from_iterable(runs))
-    runs = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
     if not set(map(type, values)) <= {int}:  # name the first non-integer
         for i, value in enumerate(values):
             _json_int(value, f"runs[{i // 2}][{i % 2}]", path, lineno)
+    runs = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
     mask = Mask2D(width=_json_int(m["w"], "w", path, lineno),
                   height=_json_int(m["h"], "h", path, lineno), runs=runs)
     kps = Keypoints2D(
@@ -547,6 +550,13 @@ def load_sequence(
 # Engine configuration
 # ---------------------------------------------------------------------------
 
+def check_patch(patch: int, prefix: str = "") -> None:
+    """A pose-lifting window size must be an odd int >= 1; a bool is not an int.
+    ``prefix`` leads the error message."""
+    if type(patch) is not int or patch < 1 or patch % 2 == 0:
+        raise ValidationError(f"{prefix}patch must be an odd int >= 1, got {patch!r}")
+
+
 @dataclass(frozen=True)
 class LifterSpec:
     """The pose lifter: ``depth_median`` (``pose3d.lift_poses``) with its
@@ -562,10 +572,7 @@ class LifterSpec:
             raise ValidationError(
                 f"lifter 'depth_median': parameters must be a JSON object, "
                 f"got {self.parameters!r}")
-        patch = self.patch
-        if type(patch) is not int or patch < 1 or patch % 2 == 0:  # bool is not int here
-            raise ValidationError(
-                f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
+        check_patch(self.patch, "lifter 'depth_median': ")
 
     @property
     def patch(self) -> int:

@@ -103,6 +103,18 @@ def _check_radius(radius: float) -> None:
         raise EvaluationError("match radius must be finite and > 0")
 
 
+def root_distances(
+    gts: list[tuple[int, Pose3D]],
+    preds: list[tuple[int, Pose3D]],
+) -> np.ndarray:
+    """Root-joint distances of one frame, ground truth by row and predictions
+    by column in list order: the one distance that matching and identity
+    persistence compare with the radius."""
+    g_roots = np.array([pose.root for _, pose in gts]).reshape(-1, 3)
+    p_roots = np.array([pose.root for _, pose in preds]).reshape(-1, 3)
+    return np.linalg.norm(g_roots[:, None, :] - p_roots[None, :, :], axis=2)
+
+
 def match_frame(
     gts: list[tuple[int, Pose3D]],
     preds: list[tuple[int, Pose3D]],
@@ -121,9 +133,7 @@ def match_frame(
         return []
     gts = sorted(gts, key=lambda g: g[0])
     preds = sorted(preds, key=lambda p: p[0])
-    g_roots = np.stack([pose.root for _, pose in gts])
-    p_roots = np.stack([pose.root for _, pose in preds])
-    dist = np.linalg.norm(g_roots[:, None, :] - p_roots[None, :, :], axis=2)
+    dist = root_distances(gts, preds)
     n, m = dist.shape
     within = dist <= radius
     big = max(1e9, radius * (n + m) * 10.0)
@@ -138,7 +148,8 @@ def match_frame(
 # ---------------------------------------------------------------------------
 
 def mota(gt: GroundTruth, tracks: list[Track], radius: float = 0.5) -> MotReport:
-    """CLEAR-MOT accumulation over all ground-truth frames."""
+    """CLEAR-MOT accumulation over every frame with ground truth or a
+    prediction (there, every prediction is a false positive)."""
     if gt.total == 0:
         raise EvaluationError("MOTA is undefined for empty ground truth")
     preds_by_frame = _poses_by_frame(tracks)
@@ -146,21 +157,19 @@ def mota(gt: GroundTruth, tracks: list[Track], radius: float = 0.5) -> MotReport
     misses = false_positives = id_switches = 0
     per_frame: list[dict] = []
 
-    for frame in gt.frame_indices:
-        gts = sorted(gt.frames[frame], key=lambda g: g[0])
-        preds = preds_by_frame.get(frame, [])
-        pred_by_id = {tid: pose for tid, pose in preds}
+    for frame in sorted(gt.frames.keys() | preds_by_frame.keys()):
+        gts = sorted(gt.frames.get(frame, ()), key=lambda g: g[0])
+        preds = preds_by_frame.get(frame, [])  # in track-id order
+        dist = root_distances(gts, preds)
+        column = {tid: c for c, (tid, _) in enumerate(preds)}
 
         matches: dict[int, int] = {}
         taken: set[int] = set()
         # Identity persistence: a person keeps its previous track while the
         # track is still within radius; only the remainder is re-optimized.
-        for gt_id, pose in gts:
+        for row, (gt_id, _) in enumerate(gts):
             prev = last_matched.get(gt_id)
-            if prev is None or prev in taken or prev not in pred_by_id:
-                continue
-            d = float(np.linalg.norm(pose.root - pred_by_id[prev].root))
-            if d <= radius:
+            if prev in column and prev not in taken and dist[row, column[prev]] <= radius:
                 matches[gt_id] = prev
                 taken.add(prev)
         rest_gts = [(gt_id, pose) for gt_id, pose in gts if gt_id not in matches]
@@ -188,16 +197,6 @@ def mota(gt: GroundTruth, tracks: list[Track], radius: float = 0.5) -> MotReport
             "false_positives": frame_fp,
             "id_switches": frame_switches,
         })
-
-    # Predictions in frames with no ground truth entry are false positives too.
-    for frame, preds in preds_by_frame.items():
-        if frame not in gt.frames:
-            false_positives += len(preds)
-            per_frame.append({
-                "frame": frame, "gt": 0, "matches": 0, "misses": 0,
-                "false_positives": len(preds), "id_switches": 0,
-            })
-    per_frame.sort(key=lambda r: r["frame"])
 
     value = 1.0 - (misses + false_positives + id_switches) / gt.total
     return MotReport(

@@ -3,10 +3,10 @@
 The lifter samples the depth map around each joint pixel instead of
 regressing root-relative offsets, so every output coordinate is traceable to
 input pixels.  :func:`lift_poses` lifts a whole frame's detections in one
-pass, reading the windows straight from the frame's depth raster and the
-masks' runs; :func:`lift_pose` is its one-detection call.  The only
-per-detection state it shares with :func:`~pose3dtrack.geometry.lift_box`
-is the person's depth span.
+pass from their depth spans (the only state it shares with
+:func:`~pose3dtrack.geometry.lift_box`), reading the windows straight from
+the frame's depth raster and the masks' runs.  :func:`lift_pose` lifts one
+detection as ``run_sequence`` does: span first, then the frame kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EmptySupportError, ValidationError
-from .geometry import depth_extrema
-from .ingest import CameraModel, Detection, DepthMap, Skeleton, get_skeleton
+from .geometry import check_mask_frame, depth_extrema
+from .ingest import CameraModel, Detection, DepthMap, Skeleton, check_patch, get_skeleton
 
 # Unused here; kept so per-layer tracing can still patch this name on pose3d.
 from .ingest import mask_indices  # noqa: F401
@@ -89,11 +89,6 @@ def require_root(det: Detection) -> Skeleton:
     return skel
 
 
-def _check_patch(patch: int) -> None:
-    if patch < 1 or patch % 2 == 0:
-        raise ValidationError(f"patch must be odd and >= 1, got {patch}")
-
-
 def lift_poses(
     dets: Sequence[Detection],
     depth: DepthMap,
@@ -108,17 +103,21 @@ def lift_poses(
     box and the depth band ``extrema[i]`` (which keeps an overlapping
     person's surface out), then to the mid depth; X and Y follow from the
     pinhole model at that Z.  Joints with confidence 0 take the root's
-    coordinates; a root with confidence 0 raises (:func:`require_root`).
+    coordinates.  Checks :func:`~pose3dtrack.ingest.check_patch`, then per
+    detection :func:`~pose3dtrack.geometry.check_mask_frame` and :func:`require_root`.
 
     Mask membership is one ``searchsorted`` over all detections' run starts,
     detection i's runs and window pixels offset by i*H*W: a pixel is on its
     mask when the last run starting at or before it reaches it, and every
     run of an earlier detection ends by i*H*W.
     """
-    _check_patch(patch)
+    check_patch(patch)
     if not dets:
         return []
-    skels = [require_root(det) for det in dets]
+    skels = []
+    for det in dets:
+        check_mask_frame(det.mask, depth)
+        skels.append(require_root(det))
     counts = [skel.joint_count for skel in skels]
     kps = np.concatenate([det.keypoints.joints for det in dets])
     owner = np.repeat(np.arange(len(dets)), counts)
@@ -179,14 +178,9 @@ def lift_pose(
     cam: CameraModel,
     patch: int = 5,
     percentile: float = 0.0,
-    extrema: tuple[float, float] | None = None,
 ) -> Pose3D:
-    """Lift one detection's 2D keypoints: the one-detection call of
-    :func:`lift_poses`.  The depth span is measured, after the patch and
-    root checks, unless ``extrema`` (from depth_extrema with the same
-    percentile) are given."""
-    _check_patch(patch)
-    require_root(det)
-    if extrema is None:
-        extrema = depth_extrema(depth, det.mask, det.box, percentile=percentile)
+    """Lift one detection's 2D keypoints as ``run_sequence`` does: measure
+    its depth span with :func:`~pose3dtrack.geometry.depth_extrema`, then
+    run :func:`lift_poses` on it alone, so the span's faults come first."""
+    extrema = depth_extrema(depth, det.mask, det.box, percentile=percentile)
     return lift_poses([det], depth, cam, patch, [extrema])[0]

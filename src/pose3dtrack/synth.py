@@ -169,14 +169,15 @@ def _render_person(
     block_o[better] = pid
 
 
+def _project(cam: CameraModel, x, y, z) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole pixel coordinates (u, v) of camera-frame points."""
+    return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
+
+
 def _project_corners(box: Box3D, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([box.x_min, box.x_max])
-    ys = np.array([box.y_min, box.y_max])
-    zs = np.array([box.z_min, box.z_max])
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    us = cam.fx * gx.ravel() / gz.ravel() + cam.cx
-    vs = cam.fy * gy.ravel() / gz.ravel() + cam.cy
-    return us, vs
+    gx, gy, gz = np.meshgrid([box.x_min, box.x_max], [box.y_min, box.y_max],
+                             [box.z_min, box.z_max], indexing="ij")
+    return _project(cam, gx.ravel(), gy.ravel(), gz.ravel())
 
 
 def _person_joints(spec: PersonSpec, frame: int) -> np.ndarray:
@@ -229,8 +230,7 @@ def generate(sc: Scenario) -> tuple[SequenceInput, GroundTruth]:
                         float(us.max()), float(vs.max())).clamp(sc.width, sc.height)
             joints3d = _person_joints(spec, frame)
             kps = np.empty((joints3d.shape[0], 3), dtype=np.float64)
-            kps[:, 0] = cam.fx * joints3d[:, 0] / joints3d[:, 2] + cam.cx
-            kps[:, 1] = cam.fy * joints3d[:, 1] / joints3d[:, 2] + cam.cy
+            kps[:, 0], kps[:, 1] = _project(cam, *joints3d.T)
             kps[:, 2] = 1.0
             if sc.keypoint_noise > 0.0:
                 kps[:, :2] += rng.normal(0.0, sc.keypoint_noise, size=kps[:, :2].shape)

@@ -344,10 +344,6 @@ def run_sequence(
 # Tracks file IO (shared with the ground-truth format)
 # ---------------------------------------------------------------------------
 
-def _pose_to_list(pose: Pose3D) -> list:
-    return pose.joints.tolist()
-
-
 def _pose_from_list(rows: list, skeleton_id: str, root_index: int) -> Pose3D:
     return Pose3D(joints=np.asarray(rows, dtype=np.float64),
                   root_index=root_index, skeleton_id=skeleton_id)
@@ -381,7 +377,7 @@ def write_tracks(
                         "frame": s.frame_index,
                         "kind": s.kind,
                         "box3d": list(s.box3d.as_array()),
-                        "pose3d": _pose_to_list(s.pose3d),
+                        "pose3d": s.pose3d.joints.tolist(),
                     }
                     for s in track.states
                 ],

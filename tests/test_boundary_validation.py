@@ -139,7 +139,7 @@ def test_parse_non_numeric_box_value_names_file_and_line(tmp_path):
 
 def test_parse_non_numeric_run_value_names_file_and_line(tmp_path):
     path = _detections_file(tmp_path, runs=(("x", 4),))
-    with pytest.raises(ParseError, match=r"line 2: .*detections.jsonl: missing or malformed"):
+    with pytest.raises(ParseError, match=r"line 2: .*detections.jsonl: 'runs\[0\]\[0\]' must be"):
         parse_detections(path)
 
 
@@ -193,6 +193,10 @@ def test_parse_detection_dimension_or_frame_must_be_a_json_integer(tmp_path, fie
     ([[0, 4], [6, True]], "runs[1][1]", True),
     ([[0, 4.0]], "runs[0][1]", 4.0),
     ([[-0.0, 4]], "runs[0][0]", -0.0),
+    ([[0, 4], ["abc", 2]], "runs[1][0]", "abc"),
+    ([[0, 4], [6, None]], "runs[1][1]", None),
+    ([[0, 4], [[6], 2]], "runs[1][0]", [6]),
+    ([[0, 4], [math.inf, 2]], "runs[1][0]", math.inf),
 ], ids=repr)
 def test_parse_mask_run_value_must_be_a_json_integer(tmp_path, runs, name, value):
     path = _detection_record_file(tmp_path, "runs", runs)

@@ -97,3 +97,12 @@ def test_iou2d_equals_reference_on_any_floats(pair):
                           np.array([b.as_tuple(), a.as_tuple()]))
     assert iou2d(a, b) == reference_iou2d(a, b) == matrix[0, 0]
     assert iou2d(b, a) == reference_iou2d(b, a) == matrix[1, 1]
+
+
+@SETTINGS
+@given(pair=interval_pairs(2, dyadic=False))
+def test_iou2d_equals_iou3d_with_a_unit_depth_extent(pair):
+    # Both names share one body, so a unit z extent changes no bit.
+    a, b = ([x0, y0, x1, y1] for (x0, x1), (y0, y1) in pair)
+    a3, b3 = ([x0, x1, y0, y1, 0.0, 1.0] for (x0, x1), (y0, y1) in pair)
+    assert np.array_equal(iou2d_matrix([a, b], [b, a]), iou3d_matrix([a3, b3], [b3, a3]))

@@ -195,9 +195,9 @@ def test_cropped_lifting_equals_full_frame_reference():
         lifting = LiftingConfig(depth_percentile=percentile,
                                 lifter=LifterSpec(parameters={"patch": patch}))
         for got in (lift_pose(det, depth, cam, patch=patch, percentile=percentile),
-                    lift_pose(det, depth, cam, patch=patch, extrema=extrema),
+                    lift_poses([det], depth, cam, patch, [extrema])[0],
                     lift_pose(det, depth, cam, patch=lifting.lifter.patch,
-                              percentile=lifting.depth_percentile, extrema=extrema)):
+                              percentile=lifting.depth_percentile)):
             assert np.array_equal(got.joints, expected), index
 
     cases = ["mask past box", "run wraps a row", "zero confidence", "keypoint on edge",
@@ -318,7 +318,7 @@ def test_frame_kernel_on_an_empty_frame():
     cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
     for patch in PATCHES:
         assert lift_poses([], depth, cam, patch, []) == []
-    with pytest.raises(ValidationError, match="patch must be odd"):
+    with pytest.raises(ValidationError, match="^patch must be an odd int >= 1, got 4$"):
         lift_poses([], depth, cam, 4, [])
 
 

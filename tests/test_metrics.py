@@ -16,6 +16,7 @@ from pose3dtrack.metrics import (
     matched_pose_pairs,
     mota,
     pck3d_rel,
+    root_distances,
 )
 from pose3dtrack.pose3d import Pose3D
 from pose3dtrack.synth import builtin, generate, ground_truth_tracks
@@ -168,6 +169,21 @@ def test_mota_identity_persistence_prevents_spurious_switch():
     report = mota(gt, [ta, tb], radius=0.5)
     assert report.id_switches == 0
     assert report.false_positives == 2  # tb never matches
+
+
+def test_mota_persistence_and_matching_share_one_root_distance():
+    # Track 0 sits exactly at the radius by the batched distance that
+    # matching uses; a scalar norm of the same difference rounds it to
+    # 0.5000000000000001.  Persistence must compare the same distance, so
+    # the person keeps track 0 in frame 1 although track 1 is nearer.
+    g = (-1.679, 1.133, 2.287)
+    p = (-1.935841986207957, 0.7534063805743082, 2.0871478591256656)
+    gt = GroundTruth(frames={0: [(0, make_pose(*g))], 1: [(0, make_pose(*g))]})
+    t0 = fragment(0, [(0, p), (1, p)])
+    t1 = fragment(1, [(1, (g[0] + 0.3, g[1], g[2]))])
+    assert root_distances(gt.frames[0], [(0, t0.states[0].pose3d)])[0, 0] == 0.5
+    report = mota(gt, [t0, t1], radius=0.5)
+    assert (report.mota, report.id_switches, report.false_positives) == (0.5, 0, 1)
 
 
 def test_mota_per_frame_counts_match_brute_force_oracle():

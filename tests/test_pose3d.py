@@ -17,7 +17,7 @@ from pose3dtrack.ingest import (
     Mask2D,
     encode_mask,
 )
-from pose3dtrack.pose3d import lift_pose
+from pose3dtrack.pose3d import lift_pose, lift_poses
 
 
 ROOT = BASIC15.root_index
@@ -97,6 +97,28 @@ def test_patch_must_be_odd():
     cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
     with pytest.raises(ValidationError, match="patch"):
         lift_pose(det, constant_depth(20, 20, 2.0), cam, patch=4)
+
+
+@pytest.mark.parametrize("patch", [True, 5.0, 3.0])
+def test_patch_must_be_an_odd_int_for_both_lifting_calls(patch):
+    det = detection_with_joints(centered_joints(8.0, 8.0))
+    depth = constant_depth(20, 20, 2.0)
+    cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
+    message = f"^patch must be an odd int >= 1, got {patch!r}$"
+    with pytest.raises(ValidationError, match=message):
+        lift_pose(det, depth, cam, patch=patch)
+    with pytest.raises(ValidationError, match=message):
+        lift_poses([det], depth, cam, patch, [(2.0, 2.0)])
+
+
+def test_frame_kernel_rejects_a_mask_laid_out_on_another_frame():
+    # A 20x20 mask on a 40x10 raster has as many pixels, so only the size
+    # check tells that its runs would be read through the wrong width.
+    det = detection_with_joints(centered_joints(8.0, 8.0))
+    depth = constant_depth(40, 10, 2.0)
+    cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
+    with pytest.raises(ValidationError, match="^mask is 20x20 but depth is 40x10$"):
+        lift_poses([det], depth, cam, 5, [(1.0, 2.0)])
 
 
 def test_median_window_beats_single_noisy_pixel():

@@ -357,8 +357,8 @@ def test_run_sequence_reports_the_first_unliftable_detection_in_input_order():
     assert error(no_depth, rootless) == SPAN_MESSAGE
     both = detection(False, 0.0)
     assert error(both, rootless) == SPAN_MESSAGE
-    with pytest.raises(EmptySupportError, match="^root joint"):
-        lift_pose(both, depth, cam)  # standalone, the root is tested first
+    with pytest.raises(EmptySupportError, match="^no valid depth pixel"):
+        lift_pose(both, depth, cam)  # standalone, the span is measured first too
 
 
 def test_no_track_ends_predicted_after_finalization():
