@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .ingest import get_skeleton
+from .ingest import _read_json, get_skeleton
 from .tracking import OBSERVED, PREDICTED, Track
 
 
@@ -181,11 +181,7 @@ def read_scene(path: str | Path) -> SceneDocument:
     joint count, 3) are a ValidationError naming the file (and the actor
     and frame)."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON ({e.msg})", line=e.lineno) from None
+    obj = _read_json(path)
     try:
         return scene_from_dict(obj)
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 
@@ -374,22 +375,96 @@ def write_depth(path: str | Path, depth: DepthMap) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Detections file
+# JSON decoding
 # ---------------------------------------------------------------------------
+
+# ``_decode``'s guards.  Number shape: digits become "0", "." stays, every
+# other byte a space, so a space and 19 zeros mark an integer part of 19 or
+# more digits.  Brackets: "{" and "}" become "[" and "]", and every byte but
+# brackets and quotes is dropped.
+_NUMBER_SHAPE = bytes(48 if 48 <= b <= 57 else b if b == 46 else 32 for b in range(256))
+_LONG_INTEGER = b"0" * 19
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b'[]{}"')
+# Far below the about 1000 levels at which ``json.loads`` raises
+# RecursionError; orjson 3.8 has no depth limit, and 100,000 nested objects
+# crash the interpreter.
+_MAX_NESTING = 200
+
+
+def _shallow(data: bytes) -> bool:
+    """Whether the arrays and objects of JSON text ``data`` nest at most
+    ``_MAX_NESTING`` deep.  Exact for valid JSON; an invalid text may read
+    as deeper, which only sends it to ``json.loads``."""
+    if b"\\" in data:  # drop escapes, so each quote left opens or closes a string
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = b"".join(data.translate(_BRACKETS, _NOT_BRACKETS).split(b'"')[::2])
+    for _ in range(_MAX_NESTING):  # each pass removes the innermost level
+        if not brackets:
+            return True
+        brackets = brackets.replace(b"[]", b"")
+    return not brackets
+
+
+def _decode(text: str) -> Any:
+    """``json.loads(text)``, through orjson wherever orjson gives the same.
+
+    On a text it accepts, orjson 3.8 returns ``json.loads``'s types, float
+    bits, key order and last-wins duplicate keys, except that an integer
+    past int64/uint64 comes back as a float.  So ``json.loads`` decodes a
+    text with an integer part of 19 or more digits (the guard also trips on
+    digit runs in strings and exponents, which only costs speed), one that
+    nests deeper than ``_MAX_NESTING``, and every text orjson rejects
+    (``NaN``, ``Infinity``, ``1e400``, a lone ``\\ud800`` escape, invalid
+    JSON), with its values and its ``JSONDecodeError``.  A text holding a
+    lone surrogate, which is how ``errors="surrogateescape"`` keeps a byte
+    that is not UTF-8, raises ``UnicodeEncodeError``.
+    """
+    data = text.encode()
+    shape = data.translate(_NUMBER_SHAPE)
+    if (not (shape.startswith(_LONG_INTEGER) or b" " + _LONG_INTEGER in shape)
+            and _shallow(data)):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
+def _decode_at(path: Path, text: str, line: int | None = None) -> Any:
+    """``_decode(text)`` of a whole document read from ``path``, or of its
+    line ``line``; invalid UTF-8 or JSON is a ParseError naming the file and
+    the line (for a document, the line of the fault)."""
+    try:
+        return _decode(text)
+    except UnicodeEncodeError as e:
+        problem, pos = f"invalid UTF-8 (byte {ord(text[e.start]) - 0xDC00:#04x})", e.start
+    except json.JSONDecodeError as e:
+        problem, pos = f"invalid JSON ({e.msg})", e.pos
+    if line is None:
+        line = text.count("\n", 0, pos) + 1
+    raise ParseError(f"{path}: {problem}", line=line)
+
+
+def _read_json(path: Path) -> Any:
+    """The JSON document in ``path``, decoded by :func:`_decode_at`."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        return _decode_at(path, f.read())
+
 
 def _json_lines(path: Path) -> Iterator[tuple[int, Any]]:
     """Yield (line number, decoded object) for each non-blank line of a
-    JSON-lines file; invalid JSON is a ParseError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as f:
+    JSON-lines file; invalid UTF-8 or JSON is a ParseError naming the file
+    and line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno) from None
-            yield lineno, obj
+            if line.strip():
+                yield lineno, _decode_at(path, line, lineno)
 
+
+# ---------------------------------------------------------------------------
+# Detections file
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FrameDetections:
@@ -687,11 +762,7 @@ def config_to_dict(cfg: EngineConfig) -> dict:
 
 def load_config(path: str | Path) -> EngineConfig:
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON ({e.msg})", line=e.lineno) from None
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     try:

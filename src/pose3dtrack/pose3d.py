@@ -103,8 +103,9 @@ def lift_poses(
     box and the depth band ``extrema[i]`` (which keeps an overlapping
     person's surface out), then to the mid depth; X and Y follow from the
     pinhole model at that Z.  Joints with confidence 0 take the root's
-    coordinates.  Checks :func:`~pose3dtrack.ingest.check_patch`, then per
-    detection :func:`~pose3dtrack.geometry.check_mask_frame` and :func:`require_root`.
+    coordinates.  Checks :func:`~pose3dtrack.ingest.check_patch` and that
+    ``extrema`` holds one span per detection, then per detection
+    :func:`~pose3dtrack.geometry.check_mask_frame` and :func:`require_root`.
 
     Mask membership is one ``searchsorted`` over all detections' run starts,
     detection i's runs and window pixels offset by i*H*W: a pixel is on its
@@ -112,6 +113,8 @@ def lift_poses(
     run of an earlier detection ends by i*H*W.
     """
     check_patch(patch)
+    if len(extrema) != len(dets):
+        raise ValidationError(f"{len(extrema)} depth spans for {len(dets)} detections")
     if not dets:
         return []
     skels = []

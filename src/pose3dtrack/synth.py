@@ -31,6 +31,7 @@ from .ingest import (
     FrameInput,
     Keypoints2D,
     SequenceInput,
+    _read_json,
     encode_mask,
     write_config,
     write_depth,
@@ -388,8 +389,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as f:
-        return scenario_from_dict(json.load(f))
+    return scenario_from_dict(_read_json(Path(path)))
 
 
 def ground_truth_tracks(sc: Scenario, gt: GroundTruth) -> list[Track]:

@@ -26,6 +26,7 @@ from pose3dtrack.ingest import (
 )
 from pose3dtrack.metrics import ground_truth_from_tracks, match_frame, matched_pose_pairs, mota
 from pose3dtrack.pose3d import Pose3D
+from pose3dtrack.synth import builtin, load_scenario, scenario_to_dict
 from pose3dtrack.tracking import OBSERVED, Track, TrackState, read_tracks, write_tracks
 
 CAMERA = {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0}
@@ -507,6 +508,72 @@ def test_read_scene_integer_past_the_float_range_names_file(tmp_path, field):
         read_scene(path)
     assert str(info.value) == (
         f"{path}: missing or malformed field (int too large to convert to float)")
+
+
+# ---------------------------------------------------------------------------
+# Text that is not UTF-8
+# ---------------------------------------------------------------------------
+
+def _valid_tracks_file(tmp_path):
+    return _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]))
+
+
+def _config_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"camera": CAMERA, "fps": 20.0}, indent=2) + "\n")
+    return path
+
+
+def _scenario_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_dict(builtin("parallel_walk")), indent=2) + "\n")
+    return path
+
+
+def _put_bad_byte(path, key, newline="\n"):
+    """Write byte 0xff into ``path``'s first ``"key"``, with ``newline``
+    ending each line, and return that line's number."""
+    lines = path.read_bytes().decode().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if f'"{key}"' in text)
+    data = newline.join(lines).encode() + newline.encode()
+    path.write_bytes(data.replace(f'"{key}"'.encode(), f'"{key}\xff"'.encode("latin-1"), 1))
+    return line
+
+
+READERS = {
+    "detections": (_detections_file, "score", parse_detections),
+    "tracks": (_valid_tracks_file, "birth", read_tracks),
+    "config": (_config_file, "fps", load_config),
+    "scene": (lambda tmp_path: _scene_file(tmp_path, _scene()), "birth", read_scene),
+    "scenario": (_scenario_file, "persons", load_scenario),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_file_and_line(tmp_path, reader, newline):
+    make, key, read = READERS[reader]
+    path = make(tmp_path)
+    line = _put_bad_byte(path, key, newline)
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"line {line}: {path}: invalid UTF-8 (byte 0xff)"
+
+
+def test_non_ascii_text_still_reads(tmp_path):
+    path = _valid_tracks_file(tmp_path)
+    path.write_text(path.read_text().replace('"fps": 20.0', '"fps": 20.0, "note": "é☃😀"'),
+                    encoding="utf-8")
+    header, _ = read_tracks(path)
+    assert header["note"] == "é☃😀"
+
+
+def test_eval_on_a_tracks_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = _valid_tracks_file(tmp_path)
+    line = _put_bad_byte(path, "birth")
+    capsys.readouterr()
+    assert cli_main(["eval", "--tracks", str(path), "--gt", str(path), "--metric", "mota"]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {path}: invalid UTF-8 (byte 0xff)\n"
 
 
 # ---------------------------------------------------------------------------

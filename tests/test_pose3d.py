@@ -121,6 +121,19 @@ def test_frame_kernel_rejects_a_mask_laid_out_on_another_frame():
         lift_poses([det], depth, cam, 5, [(1.0, 2.0)])
 
 
+@pytest.mark.parametrize("dets, extrema, message", [
+    (1, [], "^0 depth spans for 1 detections$"),
+    (1, [(2.0, 2.0), (1.0, 3.0)], "^2 depth spans for 1 detections$"),
+    (2, [(2.0, 2.0)], "^1 depth spans for 2 detections$"),
+    (0, [(2.0, 2.0)], "^1 depth spans for 0 detections$"),
+])
+def test_frame_kernel_takes_one_depth_span_per_detection(dets, extrema, message):
+    det = detection_with_joints(centered_joints(8.0, 8.0))
+    cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
+    with pytest.raises(ValidationError, match=message):
+        lift_poses([det] * dets, constant_depth(20, 20, 2.0), cam, 5, extrema)
+
+
 def test_median_window_beats_single_noisy_pixel():
     values = np.full((20, 20), 5.0, dtype=np.float32)
     values[8, 8] = 9.0  # spike right under the joint
