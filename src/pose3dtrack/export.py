@@ -9,7 +9,6 @@ lays it out, and round-trips losslessly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .ingest import _read_json, get_skeleton
+from .ingest import _encode, _read_json, get_skeleton
 from .tracking import OBSERVED, PREDICTED, Track
 
 
@@ -114,64 +113,29 @@ def scene_from_dict(obj: dict) -> SceneDocument:
     )
 
 
-# The padding ``json.dump(..., indent=2)`` gives each depth of the scene:
-# actors, actor keys, samples, sample keys, joint rows and numbers.
-_ACTOR, _ACTOR_KEY, _SAMPLE, _KEY, _ROW, _NUMBER = (" " * n for n in (4, 6, 8, 10, 12, 14))
-
-
-def _joints_text(joints: np.ndarray) -> str:
-    """One sample's joint list as ``json.dumps(..., indent=2)`` lays it out
-    at its depth, from one C-encoder ``json.dumps`` of the plain list.  No
-    number, ``NaN`` or ``Infinity`` contains ``"], ["`` or ``", "``."""
-    rows, cols = joints.shape
-    if not rows or not cols:
-        return _list_text(["[]"] * rows, _ROW, _KEY)
-    body = (json.dumps(joints.tolist())[2:-2]
-            .replace("], [", f"\n{_ROW}],\n{_ROW}[\n{_NUMBER}")
-            .replace(", ", f",\n{_NUMBER}"))
-    return f"[\n{_ROW}[\n{_NUMBER}{body}\n{_ROW}]\n{_KEY}]"
-
-
-def _list_text(items: list[str], pad: str, close_pad: str) -> str:
-    if not items:
-        return "[]"
-    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{close_pad}]"
-
-
-def _actor_text(actor: Actor) -> str:
-    samples = []
-    for s in actor.samples:
-        if s.joints.ndim != 2:
-            raise ValidationError(f"actor {actor.actor_id} frame {s.frame}: joints must be "
-                                  f"2-D, got shape {s.joints.shape}")
-        samples.append(
-            f'{{\n{_KEY}"frame": {s.frame},\n{_KEY}"state": {json.dumps(s.state)},\n'
-            f'{_KEY}"joints": {_joints_text(s.joints)}\n{_SAMPLE}}}')
-    return (f'{{\n{_ACTOR_KEY}"id": {actor.actor_id},\n{_ACTOR_KEY}"birth": {actor.birth_frame},\n'
-            f'{_ACTOR_KEY}"samples": {_list_text(samples, _SAMPLE, _ACTOR_KEY)}\n{_ACTOR}}}')
-
-
 def write_scene(path: str | Path, doc: SceneDocument) -> None:
     """Write ``doc`` as the exact bytes of ``json.dump(..., indent=2)``.
 
-    With ``indent`` set, CPython encodes through its pure-Python encoder,
-    so the fixed structure is laid out here and every joint list goes
-    through the C encoder in one ``json.dumps`` per sample.  Actors are
-    written one at a time, so only one actor's text is held at once.
+    The metadata and each actor go through ``ingest._encode``, indented to
+    their depth; actors are written one at a time, so only one actor's
+    text is held at once.
     """
-    metadata = json.dumps({
-        "fps": doc.fps,
-        "skeleton": doc.skeleton_id,
-        "units": doc.units,
-        "engine_version": doc.engine_version,
-    }, indent=2).replace("\n", "\n  ")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f'{{\n  "metadata": {metadata},\n  "actors": ')
-        separator = f"[\n{_ACTOR}"
+    metadata = _encode({"fps": doc.fps, "skeleton": doc.skeleton_id, "units": doc.units,
+                        "engine_version": doc.engine_version}, indent=True).replace(b"\n", b"\n  ")
+    with open(path, "wb") as f:
+        f.write(b'{\n  "metadata": ' + metadata + b',\n  "actors": ')
+        separator = b"[\n    "
         for actor in doc.actors:
-            f.write(separator + _actor_text(actor))
-            separator = f",\n{_ACTOR}"
-        f.write("\n  ]\n}\n" if doc.actors else "[]\n}\n")
+            for s in actor.samples:
+                if s.joints.ndim != 2:
+                    raise ValidationError(f"actor {actor.actor_id} frame {s.frame}: joints "
+                                          f"must be 2-D, got shape {s.joints.shape}")
+            text = _encode({"id": actor.actor_id, "birth": actor.birth_frame, "samples": [
+                {"frame": s.frame, "state": s.state, "joints": s.joints} for s in actor.samples]},
+                indent=True)
+            f.write(separator + text.replace(b"\n", b"\n    "))
+            separator = b",\n    "
+        f.write(b"\n  ]\n}\n" if doc.actors else b"[]\n}\n")
 
 
 def read_scene(path: str | Path) -> SceneDocument:

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -375,7 +376,7 @@ def write_depth(path: str | Path, depth: DepthMap) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON decoding
+# JSON decoding and encoding
 # ---------------------------------------------------------------------------
 
 # ``_decode``'s guards.  Number shape: digits become "0", "." stays, every
@@ -433,15 +434,17 @@ def _decode(text: str) -> Any:
 
 def _decode_at(path: Path, text: str, line: int | None = None) -> Any:
     """``_decode(text)`` of a whole document read from ``path``, or of its
-    line ``line``; invalid UTF-8 or JSON is a ParseError naming the file and
-    the line (for a document, the line of the fault)."""
+    line ``line``; a text it cannot decode is a ParseError naming the file
+    and the line (for a document, the line of the fault if it is known)."""
     try:
         return _decode(text)
     except UnicodeEncodeError as e:
         problem, pos = f"invalid UTF-8 (byte {ord(text[e.start]) - 0xDC00:#04x})", e.start
     except json.JSONDecodeError as e:
         problem, pos = f"invalid JSON ({e.msg})", e.pos
-    if line is None:
+    except (ValueError, RecursionError) as e:  # a too long integer, too deep nesting
+        problem, pos = f"invalid JSON ({e})", None
+    if line is None and pos is not None:
         line = text.count("\n", 0, pos) + 1
     raise ParseError(f"{path}: {problem}", line=line)
 
@@ -460,6 +463,68 @@ def _json_lines(path: Path) -> Iterator[tuple[int, Any]]:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
                 yield lineno, _decode_at(path, line, lineno)
+
+
+# Strings orjson writes as ``json.dumps`` does, holding no separator or
+# token boundary for ``_encode``'s rewrites to reach into.  A number token
+# in orjson's output (with ", " and ": " put back) starts after "[", a
+# space or nothing and ends before ",", "]", "}", a newline or nothing.
+_PLAIN_TEXT = re.compile(r"[\w.-]*", re.ASCII).fullmatch
+_MAX_REWRITES = 32  # one rewrite scans and copies the text; json.dumps costs 40 or more
+_FLOAT64 = np.dtype(np.float64)
+_ARRAY_DTYPES = (_FLOAT64, np.dtype(np.int64))
+
+
+def _scan(obj: Any, texts: list, floats: list) -> bool:
+    """Whether orjson writes ``obj`` as ``json.dumps`` does if the strings
+    put in ``texts`` are plain and the floats put in ``floats`` need no
+    rewrite; false on any other type (a float32 array, a float subclass)."""
+    kind = type(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if kind is dict:
+            texts.extend(obj)
+            obj = obj.values()
+        for value in obj:
+            if not _scan(value, texts, floats):
+                return False
+        return True
+    if kind is str:
+        texts.append(obj)
+    elif kind is float or kind is np.ndarray and obj.dtype == _FLOAT64:
+        floats.append(obj)
+    return kind in (str, float, int, bool, type(None)) or (
+        kind is np.ndarray and obj.dtype in _ARRAY_DTYPES)
+
+
+def _encode(obj: Any, indent: bool = False) -> bytes:
+    """``json.dumps(obj)``, or with ``indent=2``, as bytes (arrays as their
+    ``tolist()``).  orjson 3.8 writes ``float.__repr__``'s digits, but not
+    its exponent notation (nonzero |x| < 1e-4 or >= 1e16: ``1e-05`` is
+    orjson's ``0.00001``); one reduction finds those floats, whose whole
+    tokens are rewritten.  ``json.dumps`` writes any text orjson cannot:
+    non-finite floats, strings not plain, integers past 64 bits, ..."""
+    texts, floats = [], [()]  # np.concatenate needs one item
+    try:
+        data = _scan(obj, texts, floats) and _PLAIN_TEXT("".join(texts)) and orjson.dumps(
+            obj, option=orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0))
+    except TypeError:  # a key that is not a string, an integer past 64 bits, ...
+        data = None
+    values = np.concatenate(floats, axis=None)
+    magnitude = np.abs(values)
+    odd = values[~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)]
+    if not data or odd.size > _MAX_REWRITES or not np.isfinite(odd).all():
+        return json.dumps(obj, indent=2 if indent else None, default=np.ndarray.tolist).encode()
+    if not indent:
+        data = data.replace(b",", b", ").replace(b":", b": ")
+    for value in set(odd.tolist()):
+        token, text = orjson.dumps(value), repr(value).encode()
+        at = data.find(token)
+        while at >= 0:  # an occurrence that is not a whole token lies in one number or string
+            end = at + len(token)
+            if data[at - 1:at] in b"[ " and data[end:end + 1] in b",]}\n":
+                data, end = data[:at] + text + data[end:], at + len(text)
+            at = data.find(token, end)
+    return data
 
 
 # ---------------------------------------------------------------------------

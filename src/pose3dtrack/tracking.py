@@ -10,7 +10,6 @@ ends, so gaps are bridged but exits are never hallucinated.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -31,6 +30,7 @@ from .ingest import (
     SequenceInput,
     Skeleton,
     TrackerConfig,
+    _encode,
     _json_int,
     _json_lines,
     get_skeleton,
@@ -357,7 +357,8 @@ def write_tracks(
     tracker_cfg: TrackerConfig | None = None,
     kind: str = "tracks",
 ) -> None:
-    """Write tracks as JSON lines with a leading header record."""
+    """Write tracks as JSON lines with a leading header record, each line
+    the bytes of ``json.dumps`` of its record."""
     header: dict = {
         "kind": kind,
         "engine_version": __version__,
@@ -366,23 +367,12 @@ def write_tracks(
     }
     if tracker_cfg is not None:
         header["tracker"] = {**asdict(tracker_cfg), "predictor": tracker_cfg.predictor.name}
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"header": header}) + "\n")
+    with open(path, "wb") as f:
+        f.write(_encode({"header": header}) + b"\n")
         for track in tracks:
-            obj = {
-                "id": track.track_id,
-                "birth": track.birth_frame,
-                "states": [
-                    {
-                        "frame": s.frame_index,
-                        "kind": s.kind,
-                        "box3d": list(s.box3d.as_array()),
-                        "pose3d": s.pose3d.joints.tolist(),
-                    }
-                    for s in track.states
-                ],
-            }
-            f.write(json.dumps(obj) + "\n")
+            f.write(_encode({"id": track.track_id, "birth": track.birth_frame, "states": [
+                {"frame": s.frame_index, "kind": s.kind, "box3d": s.box3d.as_array(),
+                 "pose3d": s.pose3d.joints} for s in track.states]}) + b"\n")
 
 
 def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:

@@ -8,11 +8,14 @@ brute-force permutations) so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from pose3dtrack import __version__
 from pose3dtrack.errors import EvaluationError, ParseError, ValidationError
 from pose3dtrack.geometry import Box3D
 from pose3dtrack.ingest import _json_lines, get_skeleton
@@ -542,3 +545,33 @@ def reference_read_tracks(path):
             raise ValidationError(f"{path}: line {lineno}: {e}") from None
         tracks.append(track)
     return header, tracks
+
+
+def reference_write_tracks(path, tracks, skeleton_id, fps, tracker_cfg=None, kind="tracks"):
+    """The original ``tracking.write_tracks``: one C-encoder ``json.dumps``
+    of plain lists per record."""
+    header: dict = {
+        "kind": kind,
+        "engine_version": __version__,
+        "skeleton": skeleton_id,
+        "fps": fps,
+    }
+    if tracker_cfg is not None:
+        header["tracker"] = {**asdict(tracker_cfg), "predictor": tracker_cfg.predictor.name}
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps({"header": header}) + "\n")
+        for track in tracks:
+            obj = {
+                "id": track.track_id,
+                "birth": track.birth_frame,
+                "states": [
+                    {
+                        "frame": s.frame_index,
+                        "kind": s.kind,
+                        "box3d": list(s.box3d.as_array()),
+                        "pose3d": s.pose3d.joints.tolist(),
+                    }
+                    for s in track.states
+                ],
+            }
+            f.write(json.dumps(obj) + "\n")

@@ -4,6 +4,7 @@ documents, and metric, tracker and lifter numbers."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -574,6 +575,56 @@ def test_eval_on_a_tracks_file_that_is_not_utf8_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["eval", "--tracks", str(path), "--gt", str(path), "--metric", "mota"]) == 1
     assert capsys.readouterr().err == f"error: line {line}: {path}: invalid UTF-8 (byte 0xff)\n"
+
+
+# Valid JSON that ``json.loads`` still cannot read: an integer past int()'s
+# 4300-digit limit (a bare ValueError) and about 1000 levels of nesting (a
+# RecursionError).
+TOO_LONG = "5" * 5000
+TOO_DEEP = "[" * 3000 + "]" * 3000
+UNREADABLE = {
+    "long_integer": (TOO_LONG, r"Exceeds the limit \(4300 digits\)"),
+    "deep_nesting": (TOO_DEEP, r"maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case, key", [("long_integer", "id"), ("deep_nesting", "states")])
+def test_read_tracks_value_json_loads_cannot_read_names_file_and_line(tmp_path, case, key):
+    value, problem = UNREADABLE[case]
+    path = _valid_tracks_file(tmp_path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record[key] = "VALUE"
+    lines[2] = json.dumps(record).replace('"VALUE"', value)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"^line 3: {re.escape(str(path))}: invalid JSON "
+                                         rf"\({problem}") as info:
+        read_tracks(path)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("case, key", [("long_integer", "frame"), ("deep_nesting", "keypoints")])
+def test_parse_detections_value_json_loads_cannot_read_names_file_and_line(tmp_path, case, key):
+    value, problem = UNREADABLE[case]
+    path = _detections_file(tmp_path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = "VALUE"
+    lines[1] = json.dumps(record).replace('"VALUE"', value)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"^line 2: {re.escape(str(path))}: invalid JSON "
+                                         rf"\({problem}") as info:
+        parse_detections(path)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_a_document_json_loads_cannot_read_is_a_parse_error_naming_the_file(tmp_path, case):
+    value, problem = UNREADABLE[case]
+    path = tmp_path / "config.json"
+    path.write_text('{\n  "camera": ' + value + "\n}\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: invalid JSON \({problem}"):
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Property test for the scene writer: its bytes equal
 ``json.dumps(scene_to_dict(doc), indent=2) + "\\n"``, the pure-Python
 encoder's output, on random documents, including empty actor, sample and
-joint lists, NaN, infinities, -0.0, int64 joints and strings that need
-escaping."""
+joint lists, NaN, infinities, -0.0, the floats ``repr`` writes with an
+exponent, int64 joints, strings that need escaping and strings that look
+like number tokens.  A token test holds the shared encoder to
+``json.dumps`` on single floats of every binade."""
 
 import json
 
@@ -15,17 +17,25 @@ from hypothesis.extra.numpy import arrays
 from oracles import scene_to_dict
 from pose3dtrack.errors import ValidationError
 from pose3dtrack.export import Actor, ActorSample, SceneDocument, write_scene
+from pose3dtrack.ingest import _encode
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# orjson writes 1e-05 as 0.00001, a prefix of its 1.5e-05 and part of its
+# 10.00001; 1e+16 as 1e16.
+TARGETED = [1e-05, 1.5e-05, 10.00001, -1e-07, 1e16, 1.234e+16, 5e-324,
+            1.7976931348623157e308, -0.0]
 
 _texts = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7fé€\U0001f600'), st.characters()),
                  max_size=8)
 _joints = st.one_of(
-    arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=st.floats()),
+    arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           elements=st.one_of(st.floats(), st.sampled_from(TARGETED))),
     arrays(np.int64, st.tuples(st.integers(0, 4), st.integers(0, 4))),
 )
+_states = st.sampled_from(["observed", "predicted", " 0.00001,", "1e16]", "0.00001", "1e16"])
 _samples = st.builds(ActorSample, frame=st.integers(), joints=_joints,
-                     state=st.one_of(st.sampled_from(["observed", "predicted"]), _texts))
+                     state=st.one_of(_states, _texts))
 _actors = st.builds(Actor, actor_id=st.integers(), birth_frame=st.integers(),
                     samples=st.lists(_samples, max_size=3).map(tuple))
 _documents = st.builds(SceneDocument, fps=st.floats(), skeleton_id=_texts,
@@ -56,3 +66,12 @@ def test_write_scene_rejects_joints_that_are_not_2d(scene_path, shape):
     ))
     with pytest.raises(ValidationError, match=r"actor 7 frame 1: joints must be 2-D"):
         write_scene(scene_path, doc)
+
+
+def test_encoder_writes_every_float_as_json_dumps_does():
+    rng = np.random.default_rng(15)
+    random = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.concatenate([tens, np.nextafter(tens, -np.inf), np.nextafter(tens, np.inf)])
+    for value in np.concatenate([random, edges]).tolist():
+        assert _encode(value) == json.dumps(value).encode(), value
