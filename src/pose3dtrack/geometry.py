@@ -11,7 +11,7 @@ from .errors import EmptySupportError, ValidationError
 from .ingest import Box2D, CameraModel, DepthMap, Mask2D, mask_indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box3D:
     """Axis-aligned 3D box in meters; z grows away from the camera."""
 

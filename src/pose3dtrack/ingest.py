@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 import orjson
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, PoseTrackError, ValidationError
 
 DEPTH_MAGIC = "DPTH"
 
@@ -48,6 +48,11 @@ class Skeleton:
     name: str
     joint_names: tuple[str, ...]
     root_index: int
+
+    def __post_init__(self):
+        if not 0 <= self.root_index < self.joint_count:
+            raise ValidationError(f"Skeleton {self.name!r}: root_index {self.root_index} "
+                                  f"out of range for {self.joint_count} joints")
 
     @property
     def joint_count(self) -> int:
@@ -84,6 +89,15 @@ def get_skeleton(skeleton_id: str) -> Skeleton:
 # ---------------------------------------------------------------------------
 # Core value types
 # ---------------------------------------------------------------------------
+
+def _unchecked(cls, *values):
+    """A ``cls`` dataclass holding ``values`` in field order, built without
+    ``__post_init__``: only for values a check over their whole batch passed."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -151,9 +165,14 @@ class Box2D:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Up to this many runs, one Python loop over ``runs.tolist()`` is cheaper
-# than the fixed cost of NumPy calls or of reading rows as NumPy scalars.
-_SCAN_RUNS = 32
+
+
+def _bad_run(start, length, prev_end, total):
+    """Whether run (start, length) of a mask of ``total`` pixels breaks the
+    canonical-run rule: length >= 1, start past ``prev_end``, the end of the
+    run before (-1 for a mask's first run), end within the mask.  For one
+    run as Python ints, or elementwise over arrays."""
+    return (length <= 0) | (start <= prev_end) | (length > total - start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,28 +204,15 @@ class Mask2D:
             )
         runs.setflags(write=False)
         object.__setattr__(self, "runs", runs)
-        if len(runs) > _SCAN_RUNS:
-            # Find the first bad run; the loop below names it.  Runs before it
-            # are valid, so its predecessor's end and, unless its start is bad,
-            # ``total - start`` are exact; values wrapped past it are never read.
-            starts, lengths = runs[:, 0], runs[:, 1]
-            bad = lengths <= 0
-            bad[0] |= starts[0] < 0
-            bad[1:] |= starts[1:] <= starts[:-1] + lengths[:-1]
-            bad |= lengths > total - starts
-            first = int(bad.argmax())
-            if not bad[first]:
-                return
-            runs = runs[max(first - 1, 0):first + 1]  # the bad run and its valid predecessor
         prev_end = -1  # require a gap of >=1 so the encoding is canonical
         for start, length in runs.tolist():
-            if length <= 0:
-                raise ValidationError(f"Mask2D: run ({start}, {length}) has length <= 0")
-            if start <= prev_end:
-                raise ValidationError(
-                    f"Mask2D: run starting at {start} overlaps or touches the previous run"
-                )
-            if start + length > total:
+            if _bad_run(start, length, prev_end, total):
+                if length <= 0:
+                    raise ValidationError(f"Mask2D: run ({start}, {length}) has length <= 0")
+                if start <= prev_end:
+                    raise ValidationError(
+                        f"Mask2D: run starting at {start} overlaps or touches the previous run"
+                    )
                 raise ValidationError(
                     f"Mask2D: run ({start}, {length}) exceeds {self.width}x{self.height}"
                 )
@@ -217,6 +223,9 @@ class Mask2D:
             return NotImplemented
         return ((self.width, self.height) == (other.width, other.height)
                 and np.array_equal(self.runs, other.runs))
+
+    def __hash__(self):  # equal masks have equal sizes
+        return hash((self.width, self.height))
 
 
 def mask_indices(mask: Mask2D) -> np.ndarray:
@@ -242,7 +251,7 @@ def encode_mask(indices, width: int, height: int) -> Mask2D:
     return Mask2D(width=width, height=height, runs=np.column_stack((starts, ends - starts + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Keypoints2D:
     """Ordered 2D joints (u, v, confidence) for one skeleton convention."""
 
@@ -263,6 +272,14 @@ class Keypoints2D:
         conf = arr[:, 2]
         if np.any(conf < 0.0) or np.any(conf > 1.0):
             raise ValidationError("Keypoints2D: confidence outside [0, 1]")
+
+    def __eq__(self, other):
+        if not isinstance(other, Keypoints2D):
+            return NotImplemented
+        return self.skeleton_id == other.skeleton_id and np.array_equal(self.joints, other.joints)
+
+    def __hash__(self):  # equal keypoints have equal skeletons
+        return hash(self.skeleton_id)
 
 
 @dataclass(frozen=True)
@@ -286,19 +303,19 @@ class Detection:
             raise ValidationError("Detection: box does not overlap mask support")
 
 
+def _run_meets_box(start, length, c0, r0, c1, r1, width):
+    """Whether run (start, length) of a frame ``width`` pixels wide holds a
+    pixel in columns c0..c1 and rows r0..r1: it meets row r's columns iff
+    r*width + c0 <= start + length - 1 and start <= r*width + c1.  For one
+    run as Python ints, or elementwise over arrays."""
+    lo, hi = -((c1 - start) // width), (start + length - 1 - c0) // width
+    return (c0 <= c1) & (r0 <= r1) & (lo <= hi) & (lo <= r1) & (r0 <= hi)
+
+
 def _box_overlaps_mask(box: Box2D, mask: Mask2D) -> bool:
     c0, c1, r0, r1 = box.pixel_bounds(mask.width, mask.height)
-    if c0 > c1 or r0 > r1:
-        return False
-    w = mask.width
-    # Run [start, end] meets row r's box columns iff r*w + c0 <= end and
-    # start <= r*w + c1.  The first run usually has such a row in [r0, r1],
-    # so a long mask is read row by row instead of converted whole.
-    runs = mask.runs.tolist() if len(mask.runs) <= _SCAN_RUNS else mask.runs
-    for start, length in runs:
-        if max(r0, -((c1 - start) // w)) <= min(r1, (start + length - 1 - c0) // w):
-            return True
-    return False
+    return any(_run_meets_box(start, length, c0, r0, c1, r1, mask.width)
+               for start, length in mask.runs.tolist())
 
 
 _FLOAT32_INF_BITS = 0x7F800000  # the bits of float32 +inf
@@ -379,27 +396,32 @@ def write_depth(path: str | Path, depth: DepthMap) -> None:
 # JSON decoding and encoding
 # ---------------------------------------------------------------------------
 
-# ``_decode``'s guards.  Number shape: digits become "0", "." stays, every
-# other byte a space, so a space and 19 zeros mark an integer part of 19 or
-# more digits.  Brackets: "{" and "}" become "[" and "]", and every byte but
-# brackets and quotes is dropped.
-_NUMBER_SHAPE = bytes(48 if 48 <= b <= 57 else b if b == 46 else 32 for b in range(256))
+# ``_decode``'s guards read one shape of the text: digits become "0", "{"
+# and "}" become "[" and "]", ".", brackets, quotes and backslashes stay,
+# and every other byte becomes a space.  So 19 zeros after neither a zero
+# nor a "." mark an integer part of 19 or more digits.
+_SHAPE = bytes(48 if 48 <= b <= 57 else 91 if b == 123 else 93 if b == 125
+               else b if b in b'.[]"\\' else 32 for b in range(256))
 _LONG_INTEGER = b"0" * 19
-_BRACKETS = bytes.maketrans(b"{}", b"[]")
-_NOT_BRACKETS = bytes(b for b in range(256) if b not in b'[]{}"')
 # Far below the about 1000 levels at which ``json.loads`` raises
 # RecursionError; orjson 3.8 has no depth limit, and 100,000 nested objects
 # crash the interpreter.
 _MAX_NESTING = 200
 
 
-def _shallow(data: bytes) -> bool:
-    """Whether the arrays and objects of JSON text ``data`` nest at most
-    ``_MAX_NESTING`` deep.  Exact for valid JSON; an invalid text may read
-    as deeper, which only sends it to ``json.loads``."""
-    if b"\\" in data:  # drop escapes, so each quote left opens or closes a string
-        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    brackets = b"".join(data.translate(_BRACKETS, _NOT_BRACKETS).split(b'"')[::2])
+def _safe_for_orjson(shape: bytes) -> bool:
+    """Whether the JSON text of ``shape`` (its ``_SHAPE``) has no integer
+    part of 19 or more digits and nests at most ``_MAX_NESTING`` deep.
+    Exact for valid JSON, but for digit runs in strings and exponents; an
+    invalid text may read as deeper.  Both only send a text to ``json.loads``."""
+    at = shape.find(_LONG_INTEGER)
+    while at > 0 and shape[at - 1] in b"0.":  # inside a fraction, or a run already seen
+        at = shape.find(_LONG_INTEGER, at + 1)
+    if at >= 0:
+        return False
+    if b"\\" in shape:  # drop escapes, so each quote left opens or closes a string
+        shape = shape.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = b"".join(shape.translate(None, b" .0\\").split(b'"')[::2])
     for _ in range(_MAX_NESTING):  # each pass removes the innermost level
         if not brackets:
             return True
@@ -422,9 +444,7 @@ def _decode(text: str) -> Any:
     that is not UTF-8, raises ``UnicodeEncodeError``.
     """
     data = text.encode()
-    shape = data.translate(_NUMBER_SHAPE)
-    if (not (shape.startswith(_LONG_INTEGER) or b" " + _LONG_INTEGER in shape)
-            and _shallow(data)):
+    if _safe_for_orjson(data.translate(_SHAPE)):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:
@@ -570,25 +590,114 @@ def _detection_from_obj(obj: dict, skeleton_id: str, path: Path, lineno: int) ->
     )
 
 
+# Frames of up to this many pixels a side, whose pixel bounds stay exact in
+# float64 and pixel counts in int64, are read in bulk; larger ones one by one.
+_BULK_SIDE = 2**31
+# Runs per checked batch: the checks' temporaries, about 100 bytes a run,
+# stay near 2 MB however long the file.
+_BATCH_RUNS = 2**14
+
+
+def _detection_batch(batch: list[tuple], skel: Skeleton) -> list[tuple] | None:
+    """(frame, -score, line, Detection) records for a batch of lines reduced
+    by ``_detections_in_bulk``, each rule checked once over the batch's
+    arrays and the objects built unchecked; None when a check fails."""
+    lines, frames, scores, widths, heights, boxes, runs, keypoints = zip(*batch)
+    n, sides, counts = len(lines), widths + heights, np.array([len(r) for r in runs])
+    box, kps = np.array(boxes), np.array(keypoints)
+    if not (set(map(type, frames + sides)) <= {int} and box.shape == (n, 4) and counts.all()
+            and kps.shape == (n, skel.joint_count, 3) and min(frames) >= 0
+            and 0 < min(sides) and max(sides) < _BULK_SIDE):
+        return None
+    dims = np.array([widths, heights]).T
+    # Box2D._clamped: x to min(max(x, 0.0), w - 1.0).  Clamping keeps order,
+    # so a box that is not x_min < x_max, y_min < y_max is empty clamped.
+    top = np.tile(dims - 1.0, 2)
+    clamped = np.where(0.0 > box, 0.0, box)
+    clamped = np.where(top < clamped, top, clamped)
+    bounds = np.hstack((np.ceil(clamped[:, :2]), np.floor(clamped[:, 2:]))).astype(np.int64)
+    owner = np.repeat(np.arange(n), counts)
+    starts, lengths = np.concatenate(runs).T
+    prev_end = np.empty_like(starts)  # each run's predecessor's end, exact up to a bad run
+    prev_end[1:] = starts[:-1] + lengths[:-1]
+    prev_end[np.cumsum(counts) - counts] = -1
+    conf, score = kps[:, :, 2], np.array(scores)
+    if not ((clamped[:, :2] < clamped[:, 2:]).all()
+            and np.isfinite(kps).all() and ((conf >= 0.0) & (conf <= 1.0)).all()
+            and ((score >= 0.0) & (score <= 1.0)).all()
+            and not _bad_run(starts, lengths, prev_end, dims.prod(axis=1)[owner]).any()
+            and np.bincount(owner[_run_meets_box(starts, lengths, *bounds[owner].T,
+                                                 dims[owner, 0])], minlength=n).all()):
+        return None
+    records = []
+    for row in zip(lines, frames, scores, clamped.tolist(), widths, heights, runs, keypoints):
+        lineno, frame, score, xyxy, width, height, run, joints = row
+        run.flags.writeable = False
+        det = _unchecked(Detection, frame, _unchecked(Box2D, *xyxy),
+                         _unchecked(Mask2D, width, height, run),
+                         _unchecked(Keypoints2D, joints, skel.name), score)
+        records.append((frame, -score, lineno, det))
+    return records
+
+
+def _detections_in_bulk(path: Path, skeleton_id: str) -> list[tuple] | None:
+    """Every detection of ``path`` as a (frame, -score, line, Detection)
+    record, checked and built by ``_detection_batch`` one batch of lines at
+    a time; None when a line does not reduce to arrays or a check fails.
+
+    Each line is reduced to arrays and scalars as soon as it is decoded:
+    kept alive, the decoded lines' many small lists would be scanned over
+    and over by the cyclic garbage collector."""
+    records, batch, pending = [], [], 0
+    try:
+        skel = get_skeleton(skeleton_id)
+        for lineno, obj in _json_lines(path):
+            mask = obj["mask"]
+            values = list(itertools.chain.from_iterable(mask["runs"]))
+            if not (set(map(len, mask["runs"])) <= {2} and set(map(type, values)) <= {int}):
+                return None
+            batch.append((lineno, obj["frame"], float(obj["score"]), mask["w"], mask["h"],
+                          tuple(map(float, obj["box"])),
+                          np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2),
+                          np.asarray(obj["keypoints"], dtype=np.float64)))
+            pending += len(values) // 2
+            if pending >= _BATCH_RUNS:
+                checked, batch, pending = _detection_batch(batch, skel), [], 0
+                if checked is None:
+                    return None
+                records += checked
+        checked = _detection_batch(batch, skel) if batch else []
+    except (PoseTrackError, KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return None if checked is None else records + checked
+
+
 def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[FrameDetections]:
     """Parse a JSON-lines detections file, grouped and sorted by frame.
 
     Within a frame, detections are ordered by descending score with input
     order as the stable tiebreak.  ``frame``, ``w``, ``h`` and every mask
-    run value must be JSON integers.
+    run value must be JSON integers.  The file is checked once at the
+    boundary, each rule over a whole batch of its detections at once, and
+    its objects are built unchecked inside.  When a check fails, the file
+    is read again one detection at a time, so the error names the first bad
+    line's fault.
     """
     path = Path(path)
-    records: list[tuple[int, float, int, Detection]] = []
-    for lineno, obj in _json_lines(path):
-        try:
-            det = _detection_from_obj(obj, skeleton_id, path, lineno)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{path}: missing or malformed field ({e})", line=lineno) from None
-        except OverflowError as e:
-            raise ValidationError(f"{path}: line {lineno}: value out of range ({e})") from None
-        except ValidationError as e:
-            raise ValidationError(f"{path}: line {lineno}: {e}") from None
-        records.append((det.frame_index, -det.score, lineno, det))
+    records = _detections_in_bulk(path, skeleton_id)
+    if records is None:
+        records = []
+        for lineno, obj in _json_lines(path):
+            try:
+                det = _detection_from_obj(obj, skeleton_id, path, lineno)
+            except (KeyError, TypeError, ValueError) as e:
+                raise ParseError(f"{path}: missing or malformed field ({e})",
+                                 line=lineno) from None
+            except OverflowError as e:
+                raise ValidationError(f"{path}: line {lineno}: value out of range ({e})") from None
+            except ValidationError as e:
+                raise ValidationError(f"{path}: line {lineno}: {e}") from None
+            records.append((det.frame_index, -det.score, lineno, det))
     records.sort(key=lambda r: r[:3])
     grouped: dict[int, list[Detection]] = {}
     for frame_index, _, _, det in records:

@@ -25,7 +25,7 @@ from .ingest import CameraModel, Detection, DepthMap, Skeleton, check_patch, get
 from .ingest import mask_indices  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pose3D:
     """World-frame joints (X, Y, Z, confidence) with a designated root."""
 
@@ -46,6 +46,15 @@ class Pose3D:
             raise ValidationError("Pose3D: non-finite joint value")
         if not (0 <= self.root_index < skel.joint_count):
             raise ValidationError(f"Pose3D: root_index {self.root_index} out of range")
+
+    def __eq__(self, other):
+        if not isinstance(other, Pose3D):
+            return NotImplemented
+        return ((self.root_index, self.skeleton_id) == (other.root_index, other.skeleton_id)
+                and np.array_equal(self.joints, other.joints))
+
+    def __hash__(self):  # equal poses have equal roots and skeletons
+        return hash((self.root_index, self.skeleton_id))
 
     @property
     def root(self) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from itertools import chain
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .ingest import (
     _encode,
     _json_int,
     _json_lines,
+    _unchecked,
     get_skeleton,
 )
 from .pose3d import Pose3D
@@ -41,7 +43,7 @@ OBSERVED = "obs"
 PREDICTED = "pred"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackState:
     frame_index: int
     kind: str  # OBSERVED or PREDICTED
@@ -344,11 +346,6 @@ def run_sequence(
 # Tracks file IO (shared with the ground-truth format)
 # ---------------------------------------------------------------------------
 
-def _pose_from_list(rows: list, skeleton_id: str, root_index: int) -> Pose3D:
-    return Pose3D(joints=np.asarray(rows, dtype=np.float64),
-                  root_index=root_index, skeleton_id=skeleton_id)
-
-
 def write_tracks(
     path: str | Path,
     tracks: list[Track],
@@ -377,26 +374,35 @@ def write_tracks(
 
 def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:
     """One track's states from one (S, 6) box array and one (S, J, 4) joint
-    array, each checked with one reduction; None when any state would fail
-    a check of the per-state reading, which then raises that state's error.
+    array: checked once at the boundary, each rule with one reduction, and
+    built unchecked inside; None when any state would fail a check of the
+    per-state reading, which then raises that state's error.
 
-    Values convert as in the per-state reading (``float()`` and NumPy's
+    Boxes, poses and joint rows must be lists of the right lengths; their
+    values convert as in the per-state reading (``float()`` and NumPy's
     float64 cast agree on numbers, numeric strings and bools).
     """
+    n, j = len(states), skel.joint_count
     try:
         kinds = [s["kind"] for s in states]
         frames = [s["frame"] for s in states]
-        boxes = np.array([s["box3d"] for s in states], dtype=np.float64)
-        joints = np.array([s["pose3d"] for s in states], dtype=np.float64)
-        known = set(kinds) <= {OBSERVED, PREDICTED} and set(map(type, frames)) <= {int}
+        boxes = [s["box3d"] for s in states]
+        poses = [s["pose3d"] for s in states]
+        rows = list(chain.from_iterable(poses))
+        if not (set(kinds) <= {OBSERVED, PREDICTED} and set(map(type, frames)) <= {int}
+                and set(map(type, boxes + poses + rows)) <= {list} and set(map(len, boxes)) <= {6}
+                and set(map(len, poses)) <= {j} and set(map(len, rows)) <= {4}):
+            return None
+        boxes = np.fromiter(chain.from_iterable(boxes), np.float64, 6 * n).reshape(n, 6)
+        joints = np.fromiter(chain.from_iterable(rows), np.float64, 4 * j * n)
+        joints.shape = (n, j, 4)  # in place: each pose is a row of this one array
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    n = len(frames)
-    if not (known and boxes.shape == (n, 6) and joints.shape == (n, skel.joint_count, 4)
-            and np.isfinite(joints).all() and (boxes[:, 0::2] < boxes[:, 1::2]).all()):
+    if not (np.isfinite(joints).all() and np.isfinite(boxes).all()
+            and (boxes[:, 0::2] < boxes[:, 1::2]).all()):
         return None
-    return [TrackState(frame, kind, Box3D(*box),
-                       Pose3D(joints=pose, root_index=skel.root_index, skeleton_id=skel.name))
+    return [TrackState(frame, kind, _unchecked(Box3D, *box),
+                       _unchecked(Pose3D, pose, skel.root_index, skel.name))
             for frame, kind, box, pose in zip(frames, kinds, boxes.tolist(), joints)]
 
 
@@ -433,7 +439,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                         frame_index=_json_int(s["frame"], "frame", path, lineno),
                         kind=s["kind"],
                         box3d=Box3D.from_array(s["box3d"]),
-                        pose3d=_pose_from_list(s["pose3d"], skeleton_id, skel.root_index),
+                        pose3d=Pose3D(s["pose3d"], skel.root_index, skeleton_id),
                     ))
             track.states = states
         except (KeyError, TypeError, ValueError, OverflowError) as e:

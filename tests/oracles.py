@@ -20,7 +20,8 @@ from pose3dtrack.errors import EvaluationError, ParseError, ValidationError
 from pose3dtrack.geometry import Box3D
 from pose3dtrack.ingest import _json_lines, get_skeleton
 from pose3dtrack.metrics import AUC_THRESHOLDS, PckReport
-from pose3dtrack.tracking import OBSERVED, PREDICTED, Track, TrackState, _pose_from_list
+from pose3dtrack.pose3d import Pose3D
+from pose3dtrack.tracking import OBSERVED, PREDICTED, Track, TrackState
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +538,7 @@ def reference_read_tracks(path):
                     frame_index=int(s["frame"]),
                     kind=s["kind"],
                     box3d=Box3D.from_array(s["box3d"]),
-                    pose3d=_pose_from_list(s["pose3d"], skeleton_id, root_index),
+                    pose3d=Pose3D(s["pose3d"], root_index, skeleton_id),
                 ))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None

@@ -16,6 +16,7 @@ from pose3dtrack.ingest import (
     Detection,
     Keypoints2D,
     Mask2D,
+    Skeleton,
     config_from_dict,
     encode_mask,
     load_config,
@@ -282,6 +283,25 @@ def test_detection_requires_box_mask_overlap():
 def test_detection_score_range():
     with pytest.raises(ValidationError, match="score"):
         make_detection(score=1.5)
+
+
+def test_value_types_holding_arrays_compare_and_hash_by_value():
+    """``==`` compares arrays by value, and equal objects hash alike."""
+    det = make_detection()
+    same = make_detection(runs=np.array([[0, 4]]))
+    assert det == same and hash(det) == hash(same)
+    assert det.keypoints == make_keypoints() and hash(det.keypoints) == hash(make_keypoints())
+    assert det.keypoints != make_keypoints(conf=0.5)
+    assert det != make_detection(runs=((0, 3),))
+    assert det != make_detection(score=0.5)
+    assert det.keypoints != det.mask and det.mask != det.keypoints
+
+
+def test_skeleton_root_index_must_name_a_joint():
+    for root_index in (-1, 3):
+        with pytest.raises(ValidationError, match=f"root_index {root_index} out of range"):
+            Skeleton(name="trio", joint_names=("a", "b", "c"), root_index=root_index)
+    assert Skeleton(name="trio", joint_names=("a", "b", "c"), root_index=2).root_index == 2
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,17 @@ def make_track(track_id, positions, start_frame=0, kinds=None):
 # Assignment
 # ---------------------------------------------------------------------------
 
+def test_poses_and_states_compare_and_hash_by_value():
+    pose, box = make_pose(1.0, 0.0, 3.0), make_box(1.0, 0.0, 3.0)
+    state = TrackState(0, OBSERVED, box, pose)
+    same = TrackState(0, OBSERVED, make_box(1.0, 0.0, 3.0), make_pose(1.0, 0.0, 3.0))
+    assert pose == same.pose3d and hash(pose) == hash(same.pose3d)
+    assert state == same and hash(state) == hash(same)
+    assert pose != make_pose(1.0, 0.0, 3.5)
+    assert state != TrackState(0, PREDICTED, box, pose)
+    assert state != TrackState(0, OBSERVED, box, make_pose(1.0, 0.0, 3.0, conf=0.5))
+
+
 def test_assign_pinned_two_by_two():
     iou = np.array([[0.8, 0.1], [0.2, 0.7]])
     pairs, un_r, un_c = assign_by_iou(iou, gate=0.3)
