@@ -7,7 +7,6 @@ errors.  All outputs are deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 from .errors import PoseTrackError
 from .ingest import load_config, load_sequence
 from .export import export_scene, write_scene
+from .jsonio import encode
 from .metrics import auc_rel, ground_truth_from_tracks, matched_pose_pairs, mota, pck3d_rel
 from .synth import BUILTIN_NAMES, builtin, load_scenario, write_scenario_bundle
 from .tracking import OBSERVED, PREDICTED, read_tracks, run_sequence, write_tracks
@@ -49,7 +49,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             report = pck3d_rel(pairs, tau=ns.tau).to_dict()
         else:
             report = {"auc_rel": auc_rel(pairs), "radius": ns.radius}
-    print(json.dumps(report, indent=2))
+    print(encode(report, indent=True).decode())
     return 0
 
 

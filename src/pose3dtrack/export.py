@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .ingest import _encode, _read_json, get_skeleton
+from .ingest import get_skeleton
+from .jsonio import encode, read_json
 from .tracking import OBSERVED, PREDICTED, Track
 
 
@@ -116,12 +117,12 @@ def scene_from_dict(obj: dict) -> SceneDocument:
 def write_scene(path: str | Path, doc: SceneDocument) -> None:
     """Write ``doc`` as the exact bytes of ``json.dump(..., indent=2)``.
 
-    The metadata and each actor go through ``ingest._encode``, indented to
+    The metadata and each actor go through ``jsonio.encode``, indented to
     their depth; actors are written one at a time, so only one actor's
     text is held at once.
     """
-    metadata = _encode({"fps": doc.fps, "skeleton": doc.skeleton_id, "units": doc.units,
-                        "engine_version": doc.engine_version}, indent=True).replace(b"\n", b"\n  ")
+    metadata = encode({"fps": doc.fps, "skeleton": doc.skeleton_id, "units": doc.units,
+                       "engine_version": doc.engine_version}, indent=True).replace(b"\n", b"\n  ")
     with open(path, "wb") as f:
         f.write(b'{\n  "metadata": ' + metadata + b',\n  "actors": ')
         separator = b"[\n    "
@@ -130,7 +131,7 @@ def write_scene(path: str | Path, doc: SceneDocument) -> None:
                 if s.joints.ndim != 2:
                     raise ValidationError(f"actor {actor.actor_id} frame {s.frame}: joints "
                                           f"must be 2-D, got shape {s.joints.shape}")
-            text = _encode({"id": actor.actor_id, "birth": actor.birth_frame, "samples": [
+            text = encode({"id": actor.actor_id, "birth": actor.birth_frame, "samples": [
                 {"frame": s.frame, "state": s.state, "joints": s.joints} for s in actor.samples]},
                 indent=True)
             f.write(separator + text.replace(b"\n", b"\n    "))
@@ -145,7 +146,7 @@ def read_scene(path: str | Path) -> SceneDocument:
     joint count, 3) are a ValidationError naming the file (and the actor
     and frame)."""
     path = Path(path)
-    obj = _read_json(path)
+    obj = read_json(path)
     try:
         return scene_from_dict(obj)
     except (KeyError, TypeError, ValueError, OverflowError) as e:

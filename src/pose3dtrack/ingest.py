@@ -22,19 +22,16 @@ File formats handled here:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
-import re
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
-import orjson
 
 from .errors import ParseError, PoseTrackError, ValidationError
+from .jsonio import encode, json_int, json_lines, read_json
 
 DEPTH_MAGIC = "DPTH"
 
@@ -157,8 +154,9 @@ class Box2D:
         """Inclusive integer columns c0..c1 and rows r0..r1 of the pixels inside
         the box clamped to a width x height frame, as (c0, c1, r0, r1); empty
         (c0 > c1 or r0 > r1) when the clamped box holds no pixel centre."""
-        x0, y0, x1, y1 = self._clamped(width, height)
-        return math.ceil(x0), math.floor(x1), math.ceil(y0), math.floor(y1)
+        x0, y0, x1, y1 = self._clamped(width, height)  # past 2**53, w - 1.0 can round up
+        return (math.ceil(x0), min(math.floor(x1), width - 1),
+                math.ceil(y0), min(math.floor(y1), height - 1))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -393,161 +391,6 @@ def write_depth(path: str | Path, depth: DepthMap) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON decoding and encoding
-# ---------------------------------------------------------------------------
-
-# ``_decode``'s guards read one shape of the text: digits become "0", "{"
-# and "}" become "[" and "]", ".", brackets, quotes and backslashes stay,
-# and every other byte becomes a space.  So 19 zeros after neither a zero
-# nor a "." mark an integer part of 19 or more digits.
-_SHAPE = bytes(48 if 48 <= b <= 57 else 91 if b == 123 else 93 if b == 125
-               else b if b in b'.[]"\\' else 32 for b in range(256))
-_LONG_INTEGER = b"0" * 19
-# Far below the about 1000 levels at which ``json.loads`` raises
-# RecursionError; orjson 3.8 has no depth limit, and 100,000 nested objects
-# crash the interpreter.
-_MAX_NESTING = 200
-
-
-def _safe_for_orjson(shape: bytes) -> bool:
-    """Whether the JSON text of ``shape`` (its ``_SHAPE``) has no integer
-    part of 19 or more digits and nests at most ``_MAX_NESTING`` deep.
-    Exact for valid JSON, but for digit runs in strings and exponents; an
-    invalid text may read as deeper.  Both only send a text to ``json.loads``."""
-    at = shape.find(_LONG_INTEGER)
-    while at > 0 and shape[at - 1] in b"0.":  # inside a fraction, or a run already seen
-        at = shape.find(_LONG_INTEGER, at + 1)
-    if at >= 0:
-        return False
-    if b"\\" in shape:  # drop escapes, so each quote left opens or closes a string
-        shape = shape.replace(b"\\\\", b"").replace(b'\\"', b"")
-    brackets = b"".join(shape.translate(None, b" .0\\").split(b'"')[::2])
-    for _ in range(_MAX_NESTING):  # each pass removes the innermost level
-        if not brackets:
-            return True
-        brackets = brackets.replace(b"[]", b"")
-    return not brackets
-
-
-def _decode(text: str) -> Any:
-    """``json.loads(text)``, through orjson wherever orjson gives the same.
-
-    On a text it accepts, orjson 3.8 returns ``json.loads``'s types, float
-    bits, key order and last-wins duplicate keys, except that an integer
-    past int64/uint64 comes back as a float.  So ``json.loads`` decodes a
-    text with an integer part of 19 or more digits (the guard also trips on
-    digit runs in strings and exponents, which only costs speed), one that
-    nests deeper than ``_MAX_NESTING``, and every text orjson rejects
-    (``NaN``, ``Infinity``, ``1e400``, a lone ``\\ud800`` escape, invalid
-    JSON), with its values and its ``JSONDecodeError``.  A text holding a
-    lone surrogate, which is how ``errors="surrogateescape"`` keeps a byte
-    that is not UTF-8, raises ``UnicodeEncodeError``.
-    """
-    data = text.encode()
-    if _safe_for_orjson(data.translate(_SHAPE)):
-        try:
-            return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass
-    return json.loads(text)
-
-
-def _decode_at(path: Path, text: str, line: int | None = None) -> Any:
-    """``_decode(text)`` of a whole document read from ``path``, or of its
-    line ``line``; a text it cannot decode is a ParseError naming the file
-    and the line (for a document, the line of the fault if it is known)."""
-    try:
-        return _decode(text)
-    except UnicodeEncodeError as e:
-        problem, pos = f"invalid UTF-8 (byte {ord(text[e.start]) - 0xDC00:#04x})", e.start
-    except json.JSONDecodeError as e:
-        problem, pos = f"invalid JSON ({e.msg})", e.pos
-    except (ValueError, RecursionError) as e:  # a too long integer, too deep nesting
-        problem, pos = f"invalid JSON ({e})", None
-    if line is None and pos is not None:
-        line = text.count("\n", 0, pos) + 1
-    raise ParseError(f"{path}: {problem}", line=line)
-
-
-def _read_json(path: Path) -> Any:
-    """The JSON document in ``path``, decoded by :func:`_decode_at`."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        return _decode_at(path, f.read())
-
-
-def _json_lines(path: Path) -> Iterator[tuple[int, Any]]:
-    """Yield (line number, decoded object) for each non-blank line of a
-    JSON-lines file; invalid UTF-8 or JSON is a ParseError naming the file
-    and line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                yield lineno, _decode_at(path, line, lineno)
-
-
-# Strings orjson writes as ``json.dumps`` does, holding no separator or
-# token boundary for ``_encode``'s rewrites to reach into.  A number token
-# in orjson's output (with ", " and ": " put back) starts after "[", a
-# space or nothing and ends before ",", "]", "}", a newline or nothing.
-_PLAIN_TEXT = re.compile(r"[\w.-]*", re.ASCII).fullmatch
-_MAX_REWRITES = 32  # one rewrite scans and copies the text; json.dumps costs 40 or more
-_FLOAT64 = np.dtype(np.float64)
-_ARRAY_DTYPES = (_FLOAT64, np.dtype(np.int64))
-
-
-def _scan(obj: Any, texts: list, floats: list) -> bool:
-    """Whether orjson writes ``obj`` as ``json.dumps`` does if the strings
-    put in ``texts`` are plain and the floats put in ``floats`` need no
-    rewrite; false on any other type (a float32 array, a float subclass)."""
-    kind = type(obj)
-    if kind is dict or kind is list or kind is tuple:
-        if kind is dict:
-            texts.extend(obj)
-            obj = obj.values()
-        for value in obj:
-            if not _scan(value, texts, floats):
-                return False
-        return True
-    if kind is str:
-        texts.append(obj)
-    elif kind is float or kind is np.ndarray and obj.dtype == _FLOAT64:
-        floats.append(obj)
-    return kind in (str, float, int, bool, type(None)) or (
-        kind is np.ndarray and obj.dtype in _ARRAY_DTYPES)
-
-
-def _encode(obj: Any, indent: bool = False) -> bytes:
-    """``json.dumps(obj)``, or with ``indent=2``, as bytes (arrays as their
-    ``tolist()``).  orjson 3.8 writes ``float.__repr__``'s digits, but not
-    its exponent notation (nonzero |x| < 1e-4 or >= 1e16: ``1e-05`` is
-    orjson's ``0.00001``); one reduction finds those floats, whose whole
-    tokens are rewritten.  ``json.dumps`` writes any text orjson cannot:
-    non-finite floats, strings not plain, integers past 64 bits, ..."""
-    texts, floats = [], [()]  # np.concatenate needs one item
-    try:
-        data = _scan(obj, texts, floats) and _PLAIN_TEXT("".join(texts)) and orjson.dumps(
-            obj, option=orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0))
-    except TypeError:  # a key that is not a string, an integer past 64 bits, ...
-        data = None
-    values = np.concatenate(floats, axis=None)
-    magnitude = np.abs(values)
-    odd = values[~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)]
-    if not data or odd.size > _MAX_REWRITES or not np.isfinite(odd).all():
-        return json.dumps(obj, indent=2 if indent else None, default=np.ndarray.tolist).encode()
-    if not indent:
-        data = data.replace(b",", b", ").replace(b":", b": ")
-    for value in set(odd.tolist()):
-        token, text = orjson.dumps(value), repr(value).encode()
-        at = data.find(token)
-        while at >= 0:  # an occurrence that is not a whole token lies in one number or string
-            end = at + len(token)
-            if data[at - 1:at] in b"[ " and data[end:end + 1] in b",]}\n":
-                data, end = data[:at] + text + data[end:], at + len(text)
-            at = data.find(token, end)
-    return data
-
-
-# ---------------------------------------------------------------------------
 # Detections file
 # ---------------------------------------------------------------------------
 
@@ -557,37 +400,28 @@ class FrameDetections:
     detections: tuple[Detection, ...]
 
 
-def _json_int(value: Any, name: str, path: Path, lineno: int) -> int:
-    """``value`` if it is a JSON integer (not a bool), else a ParseError naming it."""
-    if type(value) is not int:
-        raise ParseError(f"{path}: {name!r} must be a JSON integer, got {value!r}", line=lineno)
-    return value
-
-
-def _detection_from_obj(obj: dict, skeleton_id: str, path: Path, lineno: int) -> Detection:
-    box = Box2D(*(float(v) for v in obj["box"]))
-    m = obj["mask"]
-    runs = m["runs"]
+def _runs_array(runs: Any, path: Path, lineno: int) -> np.ndarray:
+    """A mask's ``runs`` from line ``lineno`` as an (n, 2) int64 array: a
+    ValueError when a run is not a [start, length] pair, a ParseError
+    naming the first value that is not a JSON integer."""
     if not set(map(len, runs)) <= {2}:
         raise ValueError("a mask run is not a [start, length] pair")
     values = list(itertools.chain.from_iterable(runs))
     if not set(map(type, values)) <= {int}:  # name the first non-integer
         for i, value in enumerate(values):
-            _json_int(value, f"runs[{i // 2}][{i % 2}]", path, lineno)
-    runs = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
-    mask = Mask2D(width=_json_int(m["w"], "w", path, lineno),
-                  height=_json_int(m["h"], "h", path, lineno), runs=runs)
-    kps = Keypoints2D(
-        joints=np.asarray(obj["keypoints"], dtype=np.float64),
-        skeleton_id=skeleton_id,
-    )
-    return Detection(
-        frame_index=_json_int(obj["frame"], "frame", path, lineno),
-        box=box.clamp(mask.width, mask.height),
-        mask=mask,
-        keypoints=kps,
-        score=float(obj["score"]),
-    )
+            json_int(value, f"runs[{i // 2}][{i % 2}]", path, lineno)
+    return np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
+
+
+def _detection_from_obj(obj: dict, skeleton_id: str, path: Path, lineno: int) -> Detection:
+    box = Box2D(*(float(v) for v in obj["box"]))
+    m = obj["mask"]
+    runs = _runs_array(m["runs"], path, lineno)
+    mask = Mask2D(width=json_int(m["w"], "w", path, lineno),
+                  height=json_int(m["h"], "h", path, lineno), runs=runs)
+    kps = Keypoints2D(np.asarray(obj["keypoints"], dtype=np.float64), skeleton_id)
+    return Detection(json_int(obj["frame"], "frame", path, lineno),
+                     box.clamp(mask.width, mask.height), mask, kps, float(obj["score"]))
 
 
 # Frames of up to this many pixels a side, whose pixel bounds stay exact in
@@ -651,16 +485,13 @@ def _detections_in_bulk(path: Path, skeleton_id: str) -> list[tuple] | None:
     records, batch, pending = [], [], 0
     try:
         skel = get_skeleton(skeleton_id)
-        for lineno, obj in _json_lines(path):
+        for lineno, obj in json_lines(path):
             mask = obj["mask"]
-            values = list(itertools.chain.from_iterable(mask["runs"]))
-            if not (set(map(len, mask["runs"])) <= {2} and set(map(type, values)) <= {int}):
-                return None
+            runs = _runs_array(mask["runs"], path, lineno)
             batch.append((lineno, obj["frame"], float(obj["score"]), mask["w"], mask["h"],
-                          tuple(map(float, obj["box"])),
-                          np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2),
+                          tuple(map(float, obj["box"])), runs,
                           np.asarray(obj["keypoints"], dtype=np.float64)))
-            pending += len(values) // 2
+            pending += len(runs)
             if pending >= _BATCH_RUNS:
                 checked, batch, pending = _detection_batch(batch, skel), [], 0
                 if checked is None:
@@ -687,7 +518,7 @@ def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[
     records = _detections_in_bulk(path, skeleton_id)
     if records is None:
         records = []
-        for lineno, obj in _json_lines(path):
+        for lineno, obj in json_lines(path):
             try:
                 det = _detection_from_obj(obj, skeleton_id, path, lineno)
             except (KeyError, TypeError, ValueError) as e:
@@ -706,20 +537,11 @@ def parse_detections(path: str | Path, skeleton_id: str = BASIC15.name) -> list[
 
 
 def write_detections(path: str | Path, detections: list[Detection]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "wb") as f:
         for det in detections:
-            obj = {
-                "frame": det.frame_index,
-                "box": list(det.box.as_tuple()),
-                "mask": {
-                    "w": det.mask.width,
-                    "h": det.mask.height,
-                    "runs": det.mask.runs.tolist(),
-                },
-                "keypoints": det.keypoints.joints.tolist(),
-                "score": det.score,
-            }
-            f.write(json.dumps(obj) + "\n")
+            f.write(encode({"frame": det.frame_index, "box": list(det.box.as_tuple()), "mask": {
+                "w": det.mask.width, "h": det.mask.height, "runs": det.mask.runs},
+                "keypoints": det.keypoints.joints, "score": det.score}) + b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +758,7 @@ def config_to_dict(cfg: EngineConfig) -> dict:
 
 def load_config(path: str | Path) -> EngineConfig:
     path = Path(path)
-    obj = _read_json(path)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     try:
@@ -946,6 +768,4 @@ def load_config(path: str | Path) -> EngineConfig:
 
 
 def write_config(path: str | Path, cfg: EngineConfig) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=2)
-        f.write("\n")
+    Path(path).write_bytes(encode(config_to_dict(cfg), indent=True) + b"\n")

@@ -13,7 +13,6 @@ seeded and applied only after ground truth is captured.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,12 +30,12 @@ from .ingest import (
     FrameInput,
     Keypoints2D,
     SequenceInput,
-    _read_json,
     encode_mask,
     write_config,
     write_depth,
     write_detections,
 )
+from .jsonio import encode, read_json
 from .metrics import GroundTruth
 from .pose3d import Pose3D
 from .tracking import OBSERVED, Track, TrackState, write_tracks
@@ -389,7 +388,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(_read_json(Path(path)))
+    return scenario_from_dict(read_json(Path(path)))
 
 
 def ground_truth_tracks(sc: Scenario, gt: GroundTruth) -> list[Track]:
@@ -432,8 +431,6 @@ def write_scenario_bundle(sc: Scenario, out_dir: str | Path) -> dict[str, Path]:
         write_depth(depth_dir / f"{frame.frame_index}.dpt", frame.load())
     write_tracks(paths["ground_truth"], ground_truth_tracks(sc, gt),
                  skeleton_id=BASIC15.name, fps=sc.fps, kind="ground_truth")
-    with open(paths["scenario"], "w", encoding="utf-8") as f:
-        json.dump(scenario_to_dict(sc), f, indent=2)
-        f.write("\n")
+    paths["scenario"].write_bytes(encode(scenario_to_dict(sc), indent=True) + b"\n")
     write_config(paths["config"], EngineConfig(camera=sc.camera, fps=sc.fps))
     return paths

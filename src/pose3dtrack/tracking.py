@@ -31,12 +31,10 @@ from .ingest import (
     SequenceInput,
     Skeleton,
     TrackerConfig,
-    _encode,
-    _json_int,
-    _json_lines,
     _unchecked,
     get_skeleton,
 )
+from .jsonio import encode, json_int, json_lines
 from .pose3d import Pose3D
 
 OBSERVED = "obs"
@@ -365,9 +363,9 @@ def write_tracks(
     if tracker_cfg is not None:
         header["tracker"] = {**asdict(tracker_cfg), "predictor": tracker_cfg.predictor.name}
     with open(path, "wb") as f:
-        f.write(_encode({"header": header}) + b"\n")
+        f.write(encode({"header": header}) + b"\n")
         for track in tracks:
-            f.write(_encode({"id": track.track_id, "birth": track.birth_frame, "states": [
+            f.write(encode({"id": track.track_id, "birth": track.birth_frame, "states": [
                 {"frame": s.frame_index, "kind": s.kind, "box3d": s.box3d.as_array(),
                  "pose3d": s.pose3d.joints} for s in track.states]}) + b"\n")
 
@@ -417,7 +415,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     path = Path(path)
     header: dict = {}
     tracks: list[Track] = []
-    for lineno, obj in _json_lines(path):
+    for lineno, obj in json_lines(path):
         try:
             if "header" in obj:
                 header = obj["header"]
@@ -426,8 +424,8 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                 continue
             skeleton_id = header.get("skeleton", "basic15")
             skel = get_skeleton(skeleton_id)
-            track = Track(track_id=_json_int(obj["id"], "id", path, lineno),
-                          birth_frame=_json_int(obj["birth"], "birth", path, lineno))
+            track = Track(track_id=json_int(obj["id"], "id", path, lineno),
+                          birth_frame=json_int(obj["birth"], "birth", path, lineno))
             states = _states_from_arrays(obj["states"], skel)
             if states is None:  # a state is bad: read state by state to name it
                 states = []
@@ -436,7 +434,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                         raise ParseError(
                             f"{path}: unknown state kind {s['kind']!r}", line=lineno)
                     states.append(TrackState(
-                        frame_index=_json_int(s["frame"], "frame", path, lineno),
+                        frame_index=json_int(s["frame"], "frame", path, lineno),
                         kind=s["kind"],
                         box3d=Box3D.from_array(s["box3d"]),
                         pose3d=Pose3D(s["pose3d"], skel.root_index, skeleton_id),

@@ -18,7 +18,8 @@ import numpy as np
 from pose3dtrack import __version__
 from pose3dtrack.errors import EvaluationError, ParseError, ValidationError
 from pose3dtrack.geometry import Box3D
-from pose3dtrack.ingest import _json_lines, get_skeleton
+from pose3dtrack.ingest import get_skeleton
+from pose3dtrack.jsonio import json_lines as _json_lines
 from pose3dtrack.metrics import AUC_THRESHOLDS, PckReport
 from pose3dtrack.pose3d import Pose3D
 from pose3dtrack.tracking import OBSERVED, PREDICTED, Track, TrackState

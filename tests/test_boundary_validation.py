@@ -623,8 +623,12 @@ def test_a_document_json_loads_cannot_read_is_a_parse_error_naming_the_file(tmp_
     value, problem = UNREADABLE[case]
     path = tmp_path / "config.json"
     path.write_text('{\n  "camera": ' + value + "\n}\n")
-    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: invalid JSON \({problem}"):
+    line = 2 if case == "long_integer" else None  # json.loads gives nesting no position
+    prefix = f"line {line}: " if line else ""
+    with pytest.raises(ParseError, match=rf"^{prefix}{re.escape(str(path))}: invalid JSON "
+                                         rf"\({problem}") as info:
         load_config(path)
+    assert info.value.line == line
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Differential property test for ``ingest._decode``, the one JSON decoder
+"""Differential property test for ``jsonio.decode``, the one JSON decoder
 every input file goes through.  It must return exactly what ``json.loads``
 returns: the same types, values, float bits and key order, and for an
 invalid text the same ``JSONDecodeError`` (message, line and column).
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pose3dtrack import ingest
-from pose3dtrack.ingest import _decode
+from pose3dtrack import jsonio
+from pose3dtrack.jsonio import decode as _decode
 from pose3dtrack.tracking import OBSERVED, read_tracks
 
 SETTINGS = settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -167,7 +167,7 @@ def test_decode_equals_json_loads_on_deep_nesting(depth):
 def test_decode_uses_orjson_unless_a_guard_trips_or_orjson_rejects(monkeypatch, text, by_orjson):
     fallbacks = []
     loads = json.loads
-    monkeypatch.setattr(ingest.json, "loads", lambda t: fallbacks.append(t) or loads(t))
+    monkeypatch.setattr(jsonio.json, "loads", lambda t: fallbacks.append(t) or loads(t))
     got = _decode(text)
     monkeypatch.undo()
     assert same(got, json.loads(text))

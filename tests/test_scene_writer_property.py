@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import scene_to_dict
 from pose3dtrack.errors import ValidationError
 from pose3dtrack.export import Actor, ActorSample, SceneDocument, write_scene
-from pose3dtrack.ingest import _encode
+from pose3dtrack.jsonio import encode as _encode
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import reference_write_tracks
-from pose3dtrack import ingest
+from pose3dtrack import jsonio
 from pose3dtrack.geometry import Box3D
 from pose3dtrack.ingest import BASIC15, Skeleton, TrackerConfig, register_skeleton
 from pose3dtrack.pose3d import Pose3D
@@ -137,8 +137,8 @@ def test_encode_uses_orjson_unless_it_cannot_give_the_same_text(monkeypatch, val
     record = {"value": value}
     fallbacks = []
     dumps = json.dumps
-    monkeypatch.setattr(ingest.json, "dumps", lambda *a, **k: fallbacks.append(a) or dumps(*a, **k))
-    got = ingest._encode(record)
+    monkeypatch.setattr(jsonio.json, "dumps", lambda *a, **k: fallbacks.append(a) or dumps(*a, **k))
+    got = jsonio.encode(record)
     monkeypatch.undo()
     assert got == json.dumps(record, default=np.ndarray.tolist).encode()
     assert fallbacks == ([] if by_orjson else [(record,)])
