@@ -150,6 +150,14 @@ def _scan(obj: Any, texts: list, floats: list) -> bool:
         kind is np.ndarray and obj.dtype in _ARRAY_DTYPES)
 
 
+def _array_as_list(obj: Any) -> list:
+    """``json.dumps``'s ``default``: an array as its ``tolist()``, any other
+    type with ``json``'s own error."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def encode(obj: Any, indent: bool = False) -> bytes:
     """``json.dumps(obj)``, or with ``indent=2``, as bytes (arrays as their
     ``tolist()``).  orjson 3.8 writes ``float.__repr__``'s digits, but not
@@ -167,7 +175,7 @@ def encode(obj: Any, indent: bool = False) -> bytes:
     magnitude = np.abs(values)
     odd = values[~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)]
     if not data or odd.size > _MAX_REWRITES or not np.isfinite(odd).all():
-        return json.dumps(obj, indent=2 if indent else None, default=np.ndarray.tolist).encode()
+        return json.dumps(obj, indent=2 if indent else None, default=_array_as_list).encode()
     if not indent:
         data = data.replace(b",", b", ").replace(b":", b": ")
     for value in set(odd.tolist()):

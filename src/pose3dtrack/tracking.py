@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -317,26 +318,35 @@ def run_sequence(
     The person's depth span is measured once per detection and shared by
     the box lift and the frame's one pose-lifting pass.  A frame's first
     unliftable detection, in input order, is the one reported.
+
+    One worker loads the next frame's raster while this frame is lifted,
+    so at most two rasters are alive.  Loads are taken in frame order, so a
+    load fault is reported as its own frame's, after every earlier frame's
+    faults; a load made ahead of an earlier fault is discarded.
     """
     lifting = lifting or LiftingConfig()
     percentile, patch = lifting.depth_percentile, lifting.lifter.patch
     tracker = Tracker(cfg)
-    for frame in seq.frames:
-        try:
-            depth = frame.load()
-            dets = frame.detections
-            spans, boxes = [], []
-            for det in dets:
-                extrema = geometry.depth_extrema(depth, det.mask, det.box, percentile)
-                boxes.append(lift_box(det.box, depth, det.mask, seq.camera,
-                                      min_thickness=lifting.min_thickness, extrema=extrema))
-                pose3d.require_root(det)
-                spans.append(extrema)
-            poses = pose3d.lift_poses(dets, depth, seq.camera, patch, spans)
-            del depth  # one raster alive at a time: free it before the next load
-            tracker.step(frame.frame_index, list(zip(dets, boxes, poses)))
-        except PoseTrackError as e:
-            raise type(e)(f"frame {frame.frame_index}: {e}") from e
+    frames = seq.frames
+    with ThreadPoolExecutor(max_workers=1) as loader:  # leaving the block joins it
+        ahead = loader.submit(frames[0].load) if frames else None
+        for i, frame in enumerate(frames):
+            try:
+                depth = ahead.result()
+                ahead = loader.submit(frames[i + 1].load) if i + 1 < len(frames) else None
+                dets = frame.detections
+                spans, boxes = [], []
+                for det in dets:
+                    extrema = geometry.depth_extrema(depth, det.mask, det.box, percentile)
+                    boxes.append(lift_box(det.box, depth, det.mask, seq.camera,
+                                          min_thickness=lifting.min_thickness, extrema=extrema))
+                    pose3d.require_root(det)
+                    spans.append(extrema)
+                poses = pose3d.lift_poses(dets, depth, seq.camera, patch, spans)
+                del depth  # its future is gone too: only the next raster stays alive
+                tracker.step(frame.frame_index, list(zip(dets, boxes, poses)))
+            except PoseTrackError as e:
+                raise type(e)(f"frame {frame.frame_index}: {e}") from e
     return tracker.finalize()
 
 

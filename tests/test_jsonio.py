@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import pose3dtrack
 from pose3dtrack.errors import ParseError
+from pose3dtrack.jsonio import encode
 from pose3dtrack.ingest import (
     BASIC15,
     Box2D,
@@ -204,3 +205,25 @@ def test_scenario_echo_writes_the_indented_json_dumps(tmp_path_factory, sc):
     paths = write_scenario_bundle(sc, tmp_path_factory.mktemp("bundle"))
     assert paths["scenario"].read_bytes() == (
         json.dumps(scenario_to_dict(sc), indent=2) + "\n").encode()
+
+
+# ---------------------------------------------------------------------------
+# The json.dumps fallback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [{1, 2}, frozenset(), object(), b"x", 1j, np.float16(1)],
+                         ids=["set", "frozenset", "object", "bytes", "complex", "float16"])
+def test_a_value_neither_encoder_takes_raises_json_dumps_error(value):
+    obj = {"a": [1e-05, value]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj)
+    with pytest.raises(TypeError) as got:
+        encode(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_the_fallback_writes_an_array_as_its_list():
+    obj = {"a": np.array([[np.nan, 1e-05], [np.inf, -0.0]]), "b": np.arange(3)}
+    assert encode(obj) == json.dumps({k: v.tolist() for k, v in obj.items()}).encode()
+    assert encode(obj, indent=True) == json.dumps(
+        {k: v.tolist() for k, v in obj.items()}, indent=2).encode()

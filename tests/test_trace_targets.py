@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from pose3dtrack import geometry, pose3d, tracking
-from pose3dtrack.ingest import TrackerConfig
-from pose3dtrack.synth import builtin, generate
+from pose3dtrack import geometry, ingest, pose3d, tracking
+from pose3dtrack.ingest import TrackerConfig, load_sequence
+from pose3dtrack.synth import builtin, write_scenario_bundle
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -41,7 +41,7 @@ def test_trace_target_resolves(name, owner, attr):
     assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({name}) is gone"
 
 
-def test_run_sequence_calls_through_the_patched_names(monkeypatch):
+def test_run_sequence_calls_through_the_patched_names(tmp_path, monkeypatch):
     calls = Counter()
 
     def counting(owner, attr):
@@ -53,17 +53,20 @@ def test_run_sequence_calls_through_the_patched_names(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
+    scenario = builtin("full_occlusion")
+    write_scenario_bundle(scenario, tmp_path)
+    seq = load_sequence(tmp_path / "detections.jsonl", tmp_path / "depth", scenario.camera)
+    counting(ingest, "load_depth")  # called on the loader's worker thread
     counting(pose3d, "lift_poses")
     counting(geometry, "depth_extrema")
     counting(tracking, "predict")
     for attr in ("associate", "assign_by_iou", "iou3d_matrix"):
         counting(tracking, attr)
-    seq, _ = generate(builtin("full_occlusion"))
     tracks = tracking.run_sequence(seq, TrackerConfig())
     detections = sum(len(frame.detections) for frame in seq.frames)
     predicted = sum(s.kind == tracking.PREDICTED for t in tracks for s in t.states)
     assert detections > 0 and predicted > 0
     frames = len(seq.frames)
-    assert calls == {"lift_poses": frames, "depth_extrema": detections,
+    assert calls == {"load_depth": frames, "lift_poses": frames, "depth_extrema": detections,
                      "predict": predicted, "associate": frames, "assign_by_iou": frames,
                      "iou3d_matrix": frames}

@@ -1,4 +1,5 @@
 import math
+import time
 import weakref
 
 import numpy as np
@@ -414,10 +415,14 @@ def test_run_sequence_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_run_sequence_frees_each_raster_before_the_tracker_step(tmp_path, monkeypatch):
+    # The next frame's raster is loaded while this frame is lifted, so at
+    # each step this frame's raster is freed and only the next one is alive.
+    # Each step first waits for that next load, so the bound is checked with
+    # both loads done.
     assert cli_main(["synth", "--scenario", "parallel_walk", "--out-dir", str(tmp_path)]) == 0
     cfg = load_config(tmp_path / "config.json")
     seq = load_sequence(tmp_path / "detections.jsonl", tmp_path / "depth", cfg.camera)
-    loaded = []
+    loaded = []  # frame k's raster is loaded k-th: one worker, in frame order
     load_depth, step = ingest.load_depth, tracking.Tracker.step
 
     def remembering_load(path):
@@ -426,16 +431,22 @@ def test_run_sequence_frees_each_raster_before_the_tracker_step(tmp_path, monkey
         return depth
 
     alive_at_step = []
+    deadline = time.monotonic() + 10.0  # one for the whole run: without load-ahead it fails once
 
     def counting_step(self, frame_index, items):
-        alive_at_step.append(sum(ref() is not None for ref in loaded))
+        n = len(alive_at_step)
+        while len(loaded) < min(n + 2, len(seq.frames)) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        alive_at_step.append([k for k, ref in enumerate(loaded) if ref() is not None])
         return step(self, frame_index, items)
 
     monkeypatch.setattr(ingest, "load_depth", remembering_load)
     monkeypatch.setattr(tracking.Tracker, "step", counting_step)
     run_sequence(seq, cfg.tracker, cfg.lifting)
-    assert len(loaded) == len(seq.frames) > 1
-    assert alive_at_step == [0] * len(seq.frames)
+    frames = len(seq.frames)
+    assert len(loaded) == frames > 1
+    assert alive_at_step == [[n + 1] for n in range(frames - 1)] + [[]]
+    assert all(ref() is None for ref in loaded)
 
 
 def test_tracks_file_round_trip(tmp_path):
