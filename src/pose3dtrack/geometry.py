@@ -58,7 +58,7 @@ def _linear_percentile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - t)
 
 
-def clipped_extrema(vals: np.ndarray, percentile: float = 0.0) -> tuple[float, float]:
+def clipped_extrema(vals: np.ndarray, percentile: float) -> tuple[float, float]:
     """(min, max) of a non-empty array, or for percentile p > 0 its p-th and
     (100-p)-th percentiles, equal to ``np.percentile(vals.astype(np.float64),
     (p, 100 - p))``.  Sorts ``vals`` in place when p > 0."""
@@ -105,25 +105,15 @@ def depth_extrema(
     return clipped_extrema(vals, percentile)
 
 
-def lift_box(
-    box: Box2D,
-    depth: DepthMap,
-    mask: Mask2D,
-    cam: CameraModel,
-    min_thickness: float = 0.2,
-    percentile: float = 0.0,
-    extrema: tuple[float, float] | None = None,
-) -> Box3D:
-    """Lift a 2D person box to a 3D box using its masked depth span.
+def lift_box(box: Box2D, extrema: tuple[float, float], cam: CameraModel,
+             min_thickness: float = 0.2) -> Box3D:
+    """Lift a 2D person box to a 3D box from its depth span ``extrema``.
 
-    The x/y extents back-project the 2D corners at the representative depth
-    z_mid = (z_min + z_max) / 2; the z extent is the measured depth span,
-    inflated symmetrically to at least min_thickness.  Precomputed
-    ``extrema`` (from :func:`depth_extrema` with the same percentile) skip
-    measuring the span again.
+    Lifting is two steps: :func:`depth_extrema` measures the span
+    (z_min, z_max) over mask ∩ box, then this back-projects the 2D corners
+    at the representative depth z_mid = (z_min + z_max) / 2 for the x/y
+    extents; the z extent is the span, widened evenly to at least min_thickness.
     """
-    if extrema is None:
-        extrema = depth_extrema(depth, mask, box, percentile=percentile)
     z_min, z_max = extrema
     z_mid = (z_min + z_max) / 2.0
     xa, ya = cam.back_project(box.x_min, box.y_min, z_mid)

@@ -660,6 +660,9 @@ class PredictorSpec:
     def __post_init__(self):
         if self.name != "linear":
             raise ValidationError(f"unknown predictor {self.name!r}")
+        if not isinstance(self.parameters, dict):
+            raise ValidationError(f"predictor 'linear': parameters must be a JSON object, "
+                                  f"got {self.parameters!r}")
 
 
 @dataclass(frozen=True)

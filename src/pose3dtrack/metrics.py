@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EvaluationError
 from .ingest import get_skeleton
 from .pose3d import Pose3D
-from .tracking import OBSERVED, Track, canonical_matching
+from .tracking import Track, canonical_matching
 
 # Threshold grid for the area-under-curve score: 5 mm steps up to 150 mm.
 AUC_THRESHOLDS = tuple(0.005 * k for k in range(1, 31))
@@ -47,15 +47,11 @@ class GroundTruth:
         return sum(len(v) for v in self.frames.values())
 
 
-def _poses_by_frame(tracks: list[Track],
-                    observed_only: bool = False) -> dict[int, list[tuple[int, Pose3D]]]:
-    """frame -> [(track_id, pose)] in track-id order, optionally observed
-    states only."""
+def _poses_by_frame(tracks: list[Track]) -> dict[int, list[tuple[int, Pose3D]]]:
+    """frame -> [(track_id, pose)] in track-id order."""
     frames: dict[int, list[tuple[int, Pose3D]]] = {}
     for track in tracks:
         for state in track.states:
-            if observed_only and state.kind != OBSERVED:
-                continue
             frames.setdefault(state.frame_index, []).append((track.track_id, state.pose3d))
     for entries in frames.values():
         entries.sort(key=lambda e: e[0])
@@ -271,15 +267,11 @@ def auc_rel(pairs: list[tuple[Pose3D, Pose3D]]) -> float:
     return pck3d_rel(pairs).auc_rel
 
 
-def matched_pose_pairs(
-    gt: GroundTruth,
-    tracks: list[Track],
-    radius: float = 0.5,
-    observed_only: bool = False,
-) -> list[tuple[Pose3D, Pose3D]]:
+def matched_pose_pairs(gt: GroundTruth, tracks: list[Track],
+                       radius: float = 0.5) -> list[tuple[Pose3D, Pose3D]]:
     """Frame-wise root-distance matching, returning (gt, prediction) pairs."""
     _check_radius(radius)
-    preds_by_frame = _poses_by_frame(tracks, observed_only)
+    preds_by_frame = _poses_by_frame(tracks)
     pairs: list[tuple[Pose3D, Pose3D]] = []
     for frame in gt.frame_indices:
         gts = sorted(gt.frames[frame], key=lambda g: g[0])

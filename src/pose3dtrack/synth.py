@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import PoseTrackError, ScenarioError
 from .geometry import Box3D
 from .ingest import (
     BASIC15,
@@ -266,11 +266,12 @@ _CAMERA = CameraModel(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 _WIDTH, _HEIGHT = 640, 480
 
 
-def _pixel_track(u0: float, u1: float, z: float, y: float, frames: int,
-                 cam: CameraModel = _CAMERA) -> tuple[tuple[int, tuple[float, float, float]], ...]:
-    """Constant-velocity world path whose projection moves u0 -> u1 pixels."""
-    x0 = (u0 - cam.cx) * z / cam.fx
-    x1 = (u1 - cam.cx) * z / cam.fx
+def _pixel_track(u0: float, u1: float, z: float, y: float,
+                 frames: int) -> tuple[tuple[int, tuple[float, float, float]], ...]:
+    """Constant-velocity world path whose projection through ``_CAMERA``
+    moves u0 -> u1 pixels."""
+    x0 = (u0 - _CAMERA.cx) * z / _CAMERA.fx
+    x1 = (u1 - _CAMERA.cx) * z / _CAMERA.fx
     return ((0, (x0, y, z)), (frames - 1, (x1, y, z)))
 
 
@@ -383,12 +384,16 @@ def scenario_from_dict(obj: dict) -> Scenario:
             keypoint_noise=float(obj.get("keypoint_noise", 0.0)),
             seed=int(obj.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(f"malformed scenario spec: {e}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(read_json(Path(path)))
+    obj = read_json(Path(path))  # its ParseError names the file already
+    try:
+        return scenario_from_dict(obj)
+    except PoseTrackError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def ground_truth_tracks(sc: Scenario, gt: GroundTruth) -> list[Track]:

@@ -193,10 +193,9 @@ def _linear_fit_extrapolate(frames: np.ndarray, values: np.ndarray, target: floa
     return mean + slope * (target - frames.mean())
 
 
-def predict(track: Track, window: int,
-            target_frame: int | None = None) -> tuple[Box3D, Pose3D, Box2D | None]:
-    """Constant-velocity extrapolation of a track, one frame past its end
-    (or to `target_frame` when given).
+def predict(track: Track, window: int, target_frame: int) -> tuple[Box3D, Pose3D, Box2D | None]:
+    """Constant-velocity extrapolation of a track to `target_frame`, the
+    frame the tracker is stepping.
 
     Fits a least-squares line per box corner and per joint coordinate over
     the up-to-`window` most recent observed states; a single observation
@@ -207,8 +206,6 @@ def predict(track: Track, window: int,
     observed = track.observed_states()[-window:]
     if not observed:
         raise ValidationError("predict: track has no observed state")
-    if target_frame is None:
-        target_frame = track.last_state.frame_index + 1
     target = float(target_frame)
     frames = np.array([s.frame_index for s in observed], dtype=np.float64)
     ref_pose = observed[-1].pose3d
@@ -278,8 +275,7 @@ class Tracker:
             if track.gap_run + 1 > cfg.max_gap:
                 self._terminate(track)
                 continue
-            box3d, pose, box2d = predict(track, cfg.predictor_window,
-                                         target_frame=frame_index)
+            box3d, pose, box2d = predict(track, cfg.predictor_window, frame_index)
             track.states.append(TrackState(frame_index, PREDICTED, box3d, pose,
                                            box2d=box2d))
             track.gap_run += 1
@@ -338,8 +334,7 @@ def run_sequence(
                 spans, boxes = [], []
                 for det in dets:
                     extrema = geometry.depth_extrema(depth, det.mask, det.box, percentile)
-                    boxes.append(lift_box(det.box, depth, det.mask, seq.camera,
-                                          min_thickness=lifting.min_thickness, extrema=extrema))
+                    boxes.append(lift_box(det.box, extrema, seq.camera, lifting.min_thickness))
                     pose3d.require_root(det)
                     spans.append(extrema)
                 poses = pose3d.lift_poses(dets, depth, seq.camera, patch, spans)

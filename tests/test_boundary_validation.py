@@ -760,6 +760,8 @@ def parallel_walk(tmp_path_factory):
     ("lifting", "lifter", {"name": "martinez"}, "unknown lifter 'martinez'"),
     ("lifting", "lifter", {"name": "depth_median", "parameters": [5]},
      "lifter 'depth_median': parameters must be a JSON object, got [5]"),
+    ("tracker", "predictor", {"name": "linear", "parameters": [5]},
+     "predictor 'linear': parameters must be a JSON object, got [5]"),
 ])
 def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
         parallel_walk, tmp_path, capsys, section, field, value, message):

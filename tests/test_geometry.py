@@ -177,7 +177,7 @@ def test_lift_box_pinned_example():
     depth = DepthMap(width=4, height=4, values=np.full((4, 4), 4.0, dtype=np.float32))
     mask = Mask2D(width=4, height=4, runs=((0, 16),))
     box = Box2D(1.0, 1.0, 2.0, 2.0)
-    lifted = lift_box(box, depth, mask, unit_cam(), min_thickness=0.2)
+    lifted = lift_box(box, depth_extrema(depth, mask, box), unit_cam(), min_thickness=0.2)
     assert (lifted.x_min, lifted.x_max) == (4.0, 8.0)
     assert (lifted.y_min, lifted.y_max) == (4.0, 8.0)
     assert math.isclose(lifted.z_min, 3.9) and math.isclose(lifted.z_max, 4.1)
@@ -187,7 +187,8 @@ def test_lift_box_symmetric_straddle():
     depth = DepthMap(width=5, height=5, values=np.full((5, 5), 2.0, dtype=np.float32))
     mask = Mask2D(width=5, height=5, runs=((0, 25),))
     cam = CameraModel(fx=1.0, fy=1.0, cx=2.0, cy=2.0)
-    lifted = lift_box(Box2D(1.0, 1.0, 3.0, 3.0), depth, mask, cam)
+    box = Box2D(1.0, 1.0, 3.0, 3.0)
+    lifted = lift_box(box, depth_extrema(depth, mask, box), cam)
     assert lifted.x_min == -lifted.x_max
     assert lifted.y_min == -lifted.y_max
 
@@ -196,7 +197,8 @@ def test_lift_box_empty_support_propagates():
     depth = DepthMap(width=2, height=2, values=np.zeros((2, 2), dtype=np.float32))
     mask = Mask2D(width=2, height=2, runs=((0, 4),))
     with pytest.raises(EmptySupportError):
-        lift_box(Box2D(0, 0, 1, 1), depth, mask, unit_cam())
+        box = Box2D(0, 0, 1, 1)
+        lift_box(box, depth_extrema(depth, mask, box), unit_cam())
 
 
 def test_lift_box_preserves_depth_order():
@@ -208,6 +210,7 @@ def test_lift_box_preserves_depth_order():
     near_mask = encode_mask({r * 8 + c for r in range(6) for c in range(4)}, 8, 6)
     far_mask = encode_mask({r * 8 + c for r in range(6) for c in range(4, 8)}, 8, 6)
     cam = CameraModel(fx=10.0, fy=10.0, cx=4.0, cy=3.0)
-    near = lift_box(Box2D(0, 0, 3.5, 5), depth, near_mask, cam)
-    far = lift_box(Box2D(4, 0, 7, 5), depth, far_mask, cam)
+    near_box, far_box = Box2D(0, 0, 3.5, 5), Box2D(4, 0, 7, 5)
+    near = lift_box(near_box, depth_extrema(depth, near_mask, near_box), cam)
+    far = lift_box(far_box, depth_extrema(depth, far_mask, far_box), cam)
     assert near.z_min < far.z_min

@@ -1,12 +1,12 @@
 """The library's lifting path against the full-frame reference.
 
 Every seeded instance must agree exactly (``==``, not approximately) on
-depth_extrema, lift_box and lift_pose, with and without precomputed extrema,
-and every detection of a seeded multi-detection frame on the frame kernel
-lift_poses.  The generator is checked to have exercised every case the
-library treats differently from the full-frame reference (mask past the box,
-runs that wrap a row, windows at and past the frame edges, both window
-passes).
+depth_extrema, on lift_box from the measured span and on lift_pose, with and
+without precomputed extrema for the pose, and every detection of a seeded
+multi-detection frame on the frame kernel lift_poses.  The generator is
+checked to have exercised every case the library treats differently from
+the full-frame reference (mask past the box, runs that wrap a row, windows
+at and past the frame edges, both window passes).
 """
 
 from collections import Counter
@@ -171,15 +171,12 @@ def test_cropped_lifting_equals_full_frame_reference():
             with pytest.raises(EmptySupportError):
                 depth_extrema(depth, mask, box, percentile=percentile)
             with pytest.raises(EmptySupportError):
-                lift_box(box, depth, mask, cam, percentile=percentile)
+                lift_box(box, depth_extrema(depth, mask, box, percentile=percentile), cam)
             continue
         assert depth_extrema(depth, mask, box, percentile=percentile) == extrema
 
         expected_box = reference_lift_box(box, depth, mask, cam, 0.2, percentile)
-        assert tuple(lift_box(box, depth, mask, cam, percentile=percentile).as_array()) \
-            == expected_box
-        assert tuple(lift_box(box, depth, mask, cam, extrema=extrema).as_array()) \
-            == expected_box
+        assert tuple(lift_box(box, extrema, cam).as_array()) == expected_box
 
         try:
             det = Detection(frame_index=0, box=box, mask=mask, keypoints=kps, score=1.0)

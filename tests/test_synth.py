@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pose3dtrack.errors import ScenarioError
-from pose3dtrack.geometry import iou2d, iou3d, lift_box
+from pose3dtrack.geometry import depth_extrema, iou2d, iou3d, lift_box
 from pose3dtrack.ingest import CameraModel, LiftingConfig, mask_indices
 from pose3dtrack.synth import (
     BUILTIN_NAMES,
@@ -115,8 +115,8 @@ def test_lift_box_recovers_true_z_interval():
     depth = fr.load()
     for pid, det in enumerate(fr.detections):
         true_box = sc.persons[pid].box_at(fr.frame_index)
-        lifted = lift_box(det.box, depth, det.mask, CAM, min_thickness=0.01,
-                          percentile=0.0)
+        lifted = lift_box(det.box, depth_extrema(depth, det.mask, det.box, percentile=0.0),
+                          CAM, min_thickness=0.01)
         body_depth = true_box.z_max - true_box.z_min
         assert abs(lifted.z_min - true_box.z_min) < 1e-6
         assert true_box.z_min <= lifted.z_max <= true_box.z_max + 1e-6
@@ -136,8 +136,9 @@ def test_depth_cross_boxes_coincide_in_2d_but_not_3d():
         if v2 > best:
             best = v2
             depth = fr.load()
-            box_a = lift_box(a.box, depth, a.mask, CAM, percentile=lifting.depth_percentile)
-            box_b = lift_box(b.box, depth, b.mask, CAM, percentile=lifting.depth_percentile)
+            p = lifting.depth_percentile
+            box_a = lift_box(a.box, depth_extrema(depth, a.mask, a.box, percentile=p), CAM)
+            box_b = lift_box(b.box, depth_extrema(depth, b.mask, b.box, percentile=p), CAM)
             v3 = iou3d(box_a, box_b)
     assert best > 0.9
     assert v3 < 0.1

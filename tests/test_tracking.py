@@ -163,14 +163,14 @@ def test_associate_with_boxes_and_gate_soundness():
 
 def test_predict_exact_linear_extrapolation():
     track = make_track(0, [(0.0, 0.0, 5.0), (0.1, 0.0, 5.0), (0.2, 0.0, 5.0)])
-    box, pose, box2d = predict(track, window=5)
+    box, pose, box2d = predict(track, window=5, target_frame=track.last_state.frame_index + 1)
     np.testing.assert_allclose(pose.root, (0.3, 0.0, 5.0), atol=1e-12)
     assert math.isclose(box.x_min, 0.3 - 0.4, abs_tol=1e-12)
 
 
 def test_predict_single_state_zero_velocity():
     track = make_track(3, [(1.0, 2.0, 3.0)])
-    box, pose, _ = predict(track, window=5)
+    box, pose, _ = predict(track, window=5, target_frame=track.last_state.frame_index + 1)
     np.testing.assert_array_equal(pose.root, (1.0, 2.0, 3.0))
     assert box.x_min == make_box(1.0, 2.0, 3.0).x_min
 
@@ -178,7 +178,7 @@ def test_predict_single_state_zero_velocity():
 def test_predict_least_squares_slope():
     xs = [0.0, 1.0, 1.9, 3.1]
     track = make_track(0, [(x, 0.0, 0.0 + 1.0) for x in xs])  # z=1 keeps boxes valid
-    box, pose, _ = predict(track, window=4)
+    box, pose, _ = predict(track, window=4, target_frame=track.last_state.frame_index + 1)
     # independent fit
     coeffs = np.polyfit(np.arange(4.0), np.array(xs), deg=1)
     expected = np.polyval(coeffs, 4.0)
@@ -191,7 +191,7 @@ def test_predict_ignores_predicted_states():
     positions = [(0.0, 0.0, 4.0), (1.0, 0.0, 4.0), (99.0, 0.0, 4.0)]
     kinds = [OBSERVED, OBSERVED, PREDICTED]
     track = make_track(0, positions, kinds=kinds)
-    box, pose, _ = predict(track, window=5)
+    box, pose, _ = predict(track, window=5, target_frame=track.last_state.frame_index + 1)
     # fit uses frames 0,1 only; extrapolated to frame 3 -> x = 3
     assert math.isclose(pose.root[0], 3.0, abs_tol=1e-12)
 
@@ -199,7 +199,8 @@ def test_predict_ignores_predicted_states():
 def test_predict_uses_window_of_recent_observations():
     xs = [100.0, 0.0, 1.0, 2.0, 3.0]
     track = make_track(0, [(x, 0.0, 5.0) for x in xs])
-    _, pose, _ = predict(track, window=4)  # drops the outlier at frame 0
+    # the window drops the outlier at frame 0
+    _, pose, _ = predict(track, window=4, target_frame=track.last_state.frame_index + 1)
     assert math.isclose(pose.root[0], 4.0, abs_tol=1e-12)
 
 
