@@ -18,11 +18,8 @@ from .ingest import (
     DepthMap,
     EngineConfig,
     Keypoints2D,
-    LifterSpec,
     LiftingConfig,
     Mask2D,
-    MetricConfig,
-    PredictorSpec,
     SequenceInput,
     TrackerConfig,
     encode_mask,
@@ -51,10 +48,9 @@ from .export import SceneDocument, export_scene, read_scene, write_scene
 __all__ = [
     "__version__",
     "Box2D", "Box3D", "CameraModel", "Detection", "DepthMap", "EngineConfig",
-    "GroundTruth", "Keypoints2D", "LifterSpec", "LiftingConfig", "Mask2D",
-    "MetricConfig", "MotReport", "PckReport", "Pose3D", "PredictorSpec",
-    "Scenario", "SceneDocument", "SequenceInput", "Track", "Tracker",
-    "TrackerConfig", "TrackState",
+    "GroundTruth", "Keypoints2D", "LiftingConfig", "Mask2D", "MotReport",
+    "PckReport", "Pose3D", "Scenario", "SceneDocument", "SequenceInput",
+    "Track", "Tracker", "TrackerConfig", "TrackState",
     "associate", "auc_rel", "builtin", "depth_extrema",
     "encode_mask", "export_scene", "generate", "iou2d", "iou3d", "lift_box",
     "lift_pose", "lift_poses", "load_config", "load_depth", "load_sequence",

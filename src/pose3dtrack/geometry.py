@@ -88,8 +88,9 @@ def depth_extrema(
 
     With percentile p > 0 the p-th and (100-p)-th percentiles are used
     instead of the absolute extrema, which keeps single outlier pixels from
-    inflating the person's depth span.  Only the mask pixels on the box's
-    rows are decoded, and only the box's depths are read.
+    inflating the person's depth span.  The whole mask is decoded, only the
+    indices on the box's rows are scattered into a band, and only the box's
+    depths are read.
     """
     check_mask_frame(mask, depth)
     w = depth.width

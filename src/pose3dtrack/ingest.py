@@ -15,8 +15,8 @@ File formats handled here:
   ``DPTH <width> <height>\\n`` followed by width*height little-endian
   32-bit IEEE-754 floats, row-major.  Depth 0.0 marks an invalid pixel.
 
-* Config: a single JSON object holding the camera model plus lifting,
-  tracker and metric parameters (see ``EngineConfig``).
+* Config: a single JSON object holding the camera model plus lifting and
+  tracker parameters (see ``EngineConfig``).
 """
 
 from __future__ import annotations
@@ -629,53 +629,17 @@ def check_patch(patch: int, prefix: str = "") -> None:
 
 
 @dataclass(frozen=True)
-class LifterSpec:
-    """The pose lifter: ``depth_median`` (``pose3d.lift_poses``) with its
-    odd window size ``patch``, checked when the config is read."""
-
-    name: str = "depth_median"
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name != "depth_median":
-            raise ValidationError(f"unknown lifter {self.name!r}")
-        if not isinstance(self.parameters, dict):
-            raise ValidationError(
-                f"lifter 'depth_median': parameters must be a JSON object, "
-                f"got {self.parameters!r}")
-        check_patch(self.patch, "lifter 'depth_median': ")
-
-    @property
-    def patch(self) -> int:
-        return self.parameters.get("patch", 5)
-
-
-@dataclass(frozen=True)
-class PredictorSpec:
-    """The trajectory predictor: ``linear`` (``tracking.predict``)."""
-
-    name: str = "linear"
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name != "linear":
-            raise ValidationError(f"unknown predictor {self.name!r}")
-        if not isinstance(self.parameters, dict):
-            raise ValidationError(f"predictor 'linear': parameters must be a JSON object, "
-                                  f"got {self.parameters!r}")
-
-
-@dataclass(frozen=True)
 class LiftingConfig:
     min_thickness: float = 0.2
     depth_percentile: float = 1.0
-    lifter: LifterSpec = field(default_factory=LifterSpec)
+    patch: int = 5  # the pose lifter's window size (``pose3d.lift_poses``)
 
     def __post_init__(self):
         if not (math.isfinite(self.min_thickness) and self.min_thickness > 0.0):
             raise ValidationError("LiftingConfig: min_thickness must be finite and > 0")
         if not (0.0 <= self.depth_percentile < 50.0):
             raise ValidationError("LiftingConfig: depth_percentile must be in [0, 50)")
+        check_patch(self.patch, "LiftingConfig: ")
 
 
 @dataclass(frozen=True)
@@ -685,7 +649,6 @@ class TrackerConfig:
     predictor_window: int = 5
     association_mode: str = "iou3d"
     min_track_score: float = 0.0
-    predictor: PredictorSpec = field(default_factory=PredictorSpec)
 
     def __post_init__(self):
         if not (0.0 <= self.iou_gate <= 1.0):
@@ -704,48 +667,37 @@ class TrackerConfig:
 
 
 @dataclass(frozen=True)
-class MetricConfig:
-    radius: float = 0.5
-    tau: float = 0.15
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.radius, self.tau)):
-            raise ValidationError("MetricConfig: radius and tau must be finite and > 0")
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     camera: CameraModel
     fps: float = 30.0
     skeleton_id: str = BASIC15.name
     lifting: LiftingConfig = field(default_factory=LiftingConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    metrics: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self):
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValidationError("EngineConfig: fps must be finite and > 0")
 
 
+_SECTIONS = ("camera", "fps", "skeleton", "lifting", "tracker")
+
+
 def config_from_dict(obj: dict) -> EngineConfig:
-    try:
-        cam = CameraModel(**obj["camera"])
-    except KeyError:
-        raise ValidationError("config: missing required 'camera' section") from None
-    lifting_obj = dict(obj.get("lifting", {}))
-    if "lifter" in lifting_obj:
-        lifting_obj["lifter"] = LifterSpec(**lifting_obj["lifter"])
-    tracker_obj = dict(obj.get("tracker", {}))
-    if "predictor" in tracker_obj:
-        tracker_obj["predictor"] = PredictorSpec(**tracker_obj["predictor"])
-    return EngineConfig(
-        camera=cam,
+    if "camera" not in obj:
+        raise ValidationError("config: missing required 'camera' section")
+    cfg = EngineConfig(
+        camera=CameraModel(**obj["camera"]),
         fps=float(obj.get("fps", 30.0)),
         skeleton_id=obj.get("skeleton", BASIC15.name),
-        lifting=LiftingConfig(**lifting_obj),
-        tracker=TrackerConfig(**tracker_obj),
-        metrics=MetricConfig(**obj.get("metrics", {})),
+        lifting=LiftingConfig(**obj.get("lifting", {})),
+        tracker=TrackerConfig(**obj.get("tracker", {})),
     )
+    # Checked after the sections, so an old config's ``lifter`` or
+    # ``predictor`` key is reported through ``load_config``, with the file.
+    unknown = [name for name in obj if name not in _SECTIONS]
+    if unknown:
+        raise ValidationError(f"config: unknown section {unknown[0]!r}")
+    return cfg
 
 
 def config_to_dict(cfg: EngineConfig) -> dict:
@@ -755,7 +707,6 @@ def config_to_dict(cfg: EngineConfig) -> dict:
         "skeleton": cfg.skeleton_id,
         "lifting": asdict(cfg.lifting),
         "tracker": asdict(cfg.tracker),
-        "metrics": asdict(cfg.metrics),
     }
 
 

@@ -48,13 +48,17 @@ class GroundTruth:
 
 
 def _poses_by_frame(tracks: list[Track]) -> dict[int, list[tuple[int, Pose3D]]]:
-    """frame -> [(track_id, pose)] in track-id order."""
+    """frame -> [(track_id, pose)] in track-id order; a track id that has
+    two poses in one frame is an ``EvaluationError``."""
     frames: dict[int, list[tuple[int, Pose3D]]] = {}
     for track in tracks:
         for state in track.states:
             frames.setdefault(state.frame_index, []).append((track.track_id, state.pose3d))
-    for entries in frames.values():
+    for frame, entries in frames.items():
         entries.sort(key=lambda e: e[0])
+        if len({tid for tid, _ in entries}) < len(entries):
+            tid = next(a for (a, _), (b, _) in zip(entries, entries[1:]) if a == b)
+            raise EvaluationError(f"frame {frame}: duplicate track id {tid}")
     return frames
 
 

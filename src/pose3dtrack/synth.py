@@ -13,6 +13,7 @@ seeded and applied only after ground truth is captured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -62,6 +63,10 @@ CANONICAL_OFFSETS = np.array([
 
 BUILTIN_NAMES = ("parallel_walk", "depth_cross", "full_occlusion", "three_person_mix")
 
+# Largest frame a scenario may render, in pixels: its float64 depth buffer
+# and noise draw are 128 MB each at this size.
+MAX_PIXELS = 2**24
+
 
 @dataclass(frozen=True)
 class PersonSpec:
@@ -106,6 +111,17 @@ class Scenario:
     def __post_init__(self):
         if self.frames <= 0:
             raise ScenarioError("scenario needs at least one frame")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ScenarioError("scenario fps must be finite and > 0")
+        # type() rather than isinstance(): a bool is not a size.
+        if not (type(self.width) is int and type(self.height) is int
+                and self.width > 0 and self.height > 0):
+            raise ScenarioError("scenario width and height must be ints > 0")
+        if self.width * self.height > MAX_PIXELS:
+            raise ScenarioError(f"scenario frame {self.width}x{self.height} is over "
+                                f"the {MAX_PIXELS}-pixel budget")
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.depth_noise, self.keypoint_noise)):
+            raise ScenarioError("scenario noise must be finite and >= 0")
         for person, start, stop in self.dropouts:
             if not (0 <= person < len(self.persons)):
                 raise ScenarioError(f"dropout names unknown person {person}")
@@ -116,8 +132,17 @@ class Scenario:
         for p, spec in enumerate(self.persons):
             if not spec.waypoints:
                 raise ScenarioError(f"person {p} has no waypoints")
+            if any(len(pt) != 3 for _, pt in spec.waypoints):
+                raise ScenarioError(f"person {p} has a waypoint without 3 coordinates")
             if not np.all(np.isfinite([c for _, pt in spec.waypoints for c in pt])):
                 raise ScenarioError(f"person {p} has a non-finite waypoint")
+            frames = [f for f, _ in spec.waypoints]
+            if any(b < a for a, b in zip(frames, frames[1:])):
+                raise ScenarioError(f"person {p} has waypoint frames that decrease")
+            if not (len(spec.extent) == 3 and all(map(math.isfinite, spec.extent))
+                    and spec.extent[0] > 0 and spec.extent[1] > 0 and spec.extent[2] >= 0):
+                raise ScenarioError(f"person {p} extent must be 3 finite values, "
+                                    "w and h > 0, d >= 0")
 
     def dropped(self, person: int, frame: int) -> bool:
         return any(p == person and start <= frame < stop

@@ -321,7 +321,7 @@ def run_sequence(
     faults; a load made ahead of an earlier fault is discarded.
     """
     lifting = lifting or LiftingConfig()
-    percentile, patch = lifting.depth_percentile, lifting.lifter.patch
+    percentile, patch = lifting.depth_percentile, lifting.patch
     tracker = Tracker(cfg)
     frames = seq.frames
     with ThreadPoolExecutor(max_workers=1) as loader:  # leaving the block joins it
@@ -366,7 +366,7 @@ def write_tracks(
         "fps": fps,
     }
     if tracker_cfg is not None:
-        header["tracker"] = {**asdict(tracker_cfg), "predictor": tracker_cfg.predictor.name}
+        header["tracker"] = {**asdict(tracker_cfg), "predictor": "linear"}
     with open(path, "wb") as f:
         f.write(encode({"header": header}) + b"\n")
         for track in tracks:

@@ -559,7 +559,7 @@ def reference_write_tracks(path, tracks, skeleton_id, fps, tracker_cfg=None, kin
         "fps": fps,
     }
     if tracker_cfg is not None:
-        header["tracker"] = {**asdict(tracker_cfg), "predictor": tracker_cfg.predictor.name}
+        header["tracker"] = {**asdict(tracker_cfg), "predictor": "linear"}
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"header": header}) + "\n")
         for track in tracks:

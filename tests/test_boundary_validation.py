@@ -17,7 +17,6 @@ from pose3dtrack.ingest import (
     BASIC15,
     CameraModel,
     DepthMap,
-    LifterSpec,
     LiftingConfig,
     config_from_dict,
     load_config,
@@ -691,12 +690,24 @@ def test_eval_cli_rejects_a_bad_tau_with_exit_code_1(tracks_pair, capsys, tau):
     assert captured.out == "" and captured.err == f"error: {TAU_MESSAGE}\n"
 
 
-@pytest.mark.parametrize("field", ["radius", "tau"])
-@pytest.mark.parametrize("value", BAD_POSITIVE)
-def test_metric_config_rejects_numbers_that_are_not_finite_and_positive(field, value):
-    with pytest.raises(ValidationError) as info:
-        config_from_dict({"camera": CAMERA, "metrics": {field: value}})
-    assert str(info.value) == "MetricConfig: radius and tau must be finite and > 0"
+def test_eval_rejects_a_tracks_file_that_gives_one_id_two_poses_in_a_frame(tmp_path, capsys):
+    scene, tracks = tmp_path / "scene", tmp_path / "tracks.jsonl"
+    assert cli_main(["synth", "--scenario", "parallel_walk", "--seed", "7",
+                     "--out-dir", str(scene)]) == 0
+    assert cli_main(["track", "--detections", str(scene / "detections.jsonl"),
+                     "--depth-dir", str(scene / "depth"), "--config", str(scene / "config.json"),
+                     "--out", str(tracks)]) == 0
+    header, first, second = tracks.read_text().splitlines()
+    record = json.loads(second)
+    assert record["id"] == 1
+    tracks.write_text("\n".join([header, first, json.dumps({**record, "id": 0})]) + "\n")
+    capsys.readouterr()
+    for metric in ("mota", "pck3d", "auc"):
+        argv = ["eval", "--tracks", str(tracks), "--gt", str(scene / "ground_truth.jsonl"),
+                "--metric", metric]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: frame 0: duplicate track id 0\n"
 
 
 @pytest.mark.parametrize("value", BAD_POSITIVE)
@@ -729,16 +740,15 @@ def test_tracker_config_counts_accept_ints_at_their_bounds():
 
 
 @pytest.mark.parametrize("patch", [4, 0, -1, -3, True, False, 5.7, 5.0, "5", None])
-def test_depth_median_lifter_checks_its_patch_when_built(patch):
+def test_lifting_config_checks_its_patch_when_built(patch):
     with pytest.raises(ValidationError) as info:
-        LifterSpec("depth_median", {"patch": patch})
-    assert str(info.value) == (
-        f"lifter 'depth_median': patch must be an odd int >= 1, got {patch!r}")
+        LiftingConfig(patch=patch)
+    assert str(info.value) == f"LiftingConfig: patch must be an odd int >= 1, got {patch!r}"
 
 
 @pytest.mark.parametrize("patch", [1, 3, 7])
-def test_depth_median_lifter_accepts_odd_int_patches(patch):
-    assert LifterSpec("depth_median", {"patch": patch}).patch == patch
+def test_lifting_config_accepts_odd_int_patches(patch):
+    assert LiftingConfig(patch=patch).patch == patch
 
 
 @pytest.fixture(scope="module")
@@ -753,15 +763,7 @@ def parallel_walk(tmp_path_factory):
     ("tracker", "max_gap", True, "TrackerConfig: max_gap must be an int >= 0"),
     ("lifting", "min_thickness", math.nan,
      "LiftingConfig: min_thickness must be finite and > 0"),
-    ("metrics", "tau", math.inf, "MetricConfig: radius and tau must be finite and > 0"),
-    ("lifting", "lifter", {"name": "depth_median", "parameters": {"patch": 4}},
-     "lifter 'depth_median': patch must be an odd int >= 1, got 4"),
-    ("tracker", "predictor", {"name": "kalman"}, "unknown predictor 'kalman'"),
-    ("lifting", "lifter", {"name": "martinez"}, "unknown lifter 'martinez'"),
-    ("lifting", "lifter", {"name": "depth_median", "parameters": [5]},
-     "lifter 'depth_median': parameters must be a JSON object, got [5]"),
-    ("tracker", "predictor", {"name": "linear", "parameters": [5]},
-     "predictor 'linear': parameters must be a JSON object, got [5]"),
+    ("lifting", "patch", 4, "LiftingConfig: patch must be an odd int >= 1, got 4"),
 ])
 def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
         parallel_walk, tmp_path, capsys, section, field, value, message):

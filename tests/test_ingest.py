@@ -331,7 +331,7 @@ def test_config_defaults_and_round_trip(tmp_path):
     assert cfg.tracker.max_gap == 10
     assert cfg.tracker.predictor_window == 5
     assert cfg.lifting.min_thickness == 0.2
-    assert cfg.metrics.radius == 0.5
+    assert cfg.lifting.patch == 5
 
     path = tmp_path / "config.json"
     from pose3dtrack.ingest import write_config

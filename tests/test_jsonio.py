@@ -23,9 +23,7 @@ from pose3dtrack.ingest import (
     Detection,
     EngineConfig,
     Keypoints2D,
-    LifterSpec,
     LiftingConfig,
-    MetricConfig,
     TrackerConfig,
     config_to_dict,
     encode_mask,
@@ -165,12 +163,10 @@ _configs = st.builds(
     fps=_positive,
     lifting=st.builds(LiftingConfig, min_thickness=_positive,
                       depth_percentile=_floats(min_value=0.0, max_value=49.0),
-                      lifter=st.builds(LifterSpec, parameters=st.fixed_dictionaries(
-                          {}, optional={"patch": st.sampled_from([1, 3, 7])}))),
+                      patch=st.sampled_from([1, 3, 5, 7])),
     tracker=st.builds(TrackerConfig, iou_gate=_unit, max_gap=st.integers(0, 2**70),
                       predictor_window=st.integers(1, 20), min_track_score=_unit,
                       association_mode=st.sampled_from(["iou3d", "iou2d"])),
-    metrics=st.builds(MetricConfig, radius=_positive, tau=_positive),
 )
 
 

@@ -31,7 +31,6 @@ from pose3dtrack.ingest import (
     DepthMap,
     Detection,
     Keypoints2D,
-    LifterSpec,
     LiftingConfig,
     Skeleton,
     encode_mask,
@@ -189,11 +188,10 @@ def test_cropped_lifting_equals_full_frame_reference():
                 lift_pose(det, depth, cam, patch=patch, percentile=percentile)
             continue
         note_coverage(seen, depth, det, patch, percentile)
-        lifting = LiftingConfig(depth_percentile=percentile,
-                                lifter=LifterSpec(parameters={"patch": patch}))
+        lifting = LiftingConfig(depth_percentile=percentile, patch=patch)
         for got in (lift_pose(det, depth, cam, patch=patch, percentile=percentile),
                     lift_poses([det], depth, cam, patch, [extrema])[0],
-                    lift_pose(det, depth, cam, patch=lifting.lifter.patch,
+                    lift_pose(det, depth, cam, patch=lifting.patch,
                               percentile=lifting.depth_percentile)):
             assert np.array_equal(got.joints, expected), index
 

@@ -12,7 +12,6 @@ from pose3dtrack.ingest import (
     DepthMap,
     Detection,
     Keypoints2D,
-    LifterSpec,
     LiftingConfig,
     Mask2D,
     encode_mask,
@@ -197,7 +196,7 @@ def test_root_depth_order_matches_median_mask_depth_order():
         roots = []
         medians = []
         for det in frame.detections:
-            pose = lift_pose(det, depth, seq.camera, patch=lifting.lifter.patch,
+            pose = lift_pose(det, depth, seq.camera, patch=lifting.patch,
                              percentile=lifting.depth_percentile)
             roots.append(pose.root[2])
             vals = flat[mask_indices(det.mask)]
@@ -205,13 +204,11 @@ def test_root_depth_order_matches_median_mask_depth_order():
         assert np.argsort(roots).tolist() == np.argsort(medians).tolist()
 
 
-def test_lifter_spec_default_and_unknown():
-    lifting = LiftingConfig(lifter=LifterSpec(name="depth_median", parameters={"patch": 3}))
+def test_lifting_patch_default_and_override():
+    lifting = LiftingConfig(patch=3)
     det = detection_with_joints(centered_joints(8.0, 8.0))
     cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
-    pose = lift_pose(det, constant_depth(20, 20, 2.5), cam, patch=lifting.lifter.patch,
+    pose = lift_pose(det, constant_depth(20, 20, 2.5), cam, patch=lifting.patch,
                      percentile=lifting.depth_percentile)
     assert pose.joints[0, 2] == 2.5
-    assert LiftingConfig().lifter.patch == 5
-    with pytest.raises(ValidationError, match="unknown lifter"):
-        LifterSpec(name="martinez")
+    assert LiftingConfig().patch == 5

@@ -1,9 +1,12 @@
-"""README's "Library use" code runs as written on a synthesized bundle, so a
-signature change cannot leave the README stale."""
+"""README's "Library use" code runs as written on a synthesized bundle, and
+its config example is exactly the layout the config model writes, so a
+signature or config change cannot leave the README stale."""
 
+import json
 import re
 from pathlib import Path
 
+from pose3dtrack.ingest import config_from_dict, config_to_dict
 from pose3dtrack.synth import builtin, write_scenario_bundle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,3 +32,9 @@ def test_library_use_blocks_run_on_a_synthesized_bundle(tmp_path, monkeypatch, c
     det, tracks = namespace["det"], namespace["tracks"]
     assert [s.box3d for t in tracks for s in t.states if s.detection is det] \
         == [namespace["box3d"]]
+
+
+def test_config_example_is_the_layout_the_model_writes():
+    section = README.read_text(encoding="utf-8").split("**Config** (`config.json`)", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, flags=re.S).group(1))
+    assert config_to_dict(config_from_dict(example)) == example

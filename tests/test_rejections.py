@@ -2,6 +2,7 @@
 the tracker and the exporter: each raises its own error type with its own
 message."""
 
+import json
 import math
 
 import numpy as np
@@ -107,6 +108,8 @@ def test_sequence_input_rejects_frames_out_of_order(order):
     ("tracker", "iou_gate", 1.5, "TrackerConfig: iou_gate outside [0, 1]"),
     ("tracker", "min_track_score", -0.1, "TrackerConfig: min_track_score outside [0, 1]"),
     ("tracker", "min_track_score", math.inf, "TrackerConfig: min_track_score outside [0, 1]"),
+    ("trackr", "max_gap", 2, "config: unknown section 'trackr'"),
+    ("metrics", "radius", 0.5, "config: unknown section 'metrics'"),
 ])
 def test_config_rejects_values_out_of_range(section, field, value, text):
     assert message(ValidationError,
@@ -116,6 +119,17 @@ def test_config_rejects_values_out_of_range(section, field, value, text):
 def test_config_without_a_camera_section_is_rejected():
     assert message(ValidationError, lambda: config_from_dict({"fps": 20.0})) \
         == "config: missing required 'camera' section"
+
+
+@pytest.mark.parametrize("section, old", [
+    ("lifting", {"lifter": {"name": "depth_median", "parameters": {"patch": 5}}}),
+    ("tracker", {"predictor": {"name": "linear", "parameters": {}}}),
+])
+def test_config_file_with_a_removed_lifter_or_predictor_key_is_rejected(tmp_path, section, old):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"camera": CAMERA, section: old}))
+    text = message(ValidationError, lambda: load_config(path))
+    assert text.startswith(f"{path}: ") and f"unexpected keyword argument {next(iter(old))!r}" in text
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"config"'])
@@ -185,9 +199,34 @@ def scenario(**changes):
     ({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)),), (0.5, 1.0, 0.2)),
                   PersonSpec(((0, (0.0, math.nan, 3.0)),), (0.5, 1.0, 0.2)))},
      "person 1 has a non-finite waypoint"),
+    *[({"fps": fps}, "scenario fps must be finite and > 0")
+      for fps in (0.0, -20.0, math.nan, math.inf)],
+    *[({side: size}, "scenario width and height must be ints > 0")
+      for side in ("width", "height") for size in (-5, 0, 64.0, True)],
+    ({"width": 2**12 + 1, "height": 2**12},
+     "scenario frame 4097x4096 is over the 16777216-pixel budget"),
+    ({"width": 2**40, "height": 1},
+     "scenario frame 1099511627776x1 is over the 16777216-pixel budget"),
+    *[({field: value}, "scenario noise must be finite and >= 0")
+      for field in ("depth_noise", "keypoint_noise") for value in (-0.1, math.nan, math.inf)],
+    *[({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)), (2, point)), (0.5, 1.0, 0.2)),)},
+       "person 0 has a waypoint without 3 coordinates")
+      for point in ((0.0, 3.0), (), (0.0, 0.0, 3.0, 1.0))],
+    ({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)), (3, (0.0, 0.0, 3.0)),
+                              (2, (0.0, 0.0, 3.0))), (0.5, 1.0, 0.2)),)},
+     "person 0 has waypoint frames that decrease"),
+    *[({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)),), extent),)},
+       "person 0 extent must be 3 finite values, w and h > 0, d >= 0")
+      for extent in ((0.5, 1.0), (0.5, 1.0, 0.2, 0.1), (0.0, 1.0, 0.2), (0.5, -1.0, 0.2),
+                     (0.5, 1.0, -0.1), (0.5, 1.0, math.nan), (math.inf, 1.0, 0.2))],
 ])
 def test_scenario_rejects_each_invalid_field(changes, text):
     assert message(ScenarioError, lambda: scenario(**changes)) == text
+
+
+def test_scenario_accepts_a_repeated_waypoint_frame_and_a_flat_body():
+    person = PersonSpec(((0, (0.0, 0.0, 3.0)), (0, (0.0, 0.0, 3.0))), (0.5, 1.0, 0.0))
+    assert scenario(persons=(person,), width=2**12, height=2**12).persons == (person,)
 
 
 def test_scenario_from_an_empty_object_names_the_missing_key():

@@ -13,10 +13,7 @@ from pose3dtrack.export import Actor, ActorSample, SceneDocument, write_scene
 from pose3dtrack.ingest import (
     CameraModel,
     EngineConfig,
-    LifterSpec,
     LiftingConfig,
-    MetricConfig,
-    PredictorSpec,
     TrackerConfig,
     write_config,
 )
@@ -27,12 +24,9 @@ CAMERA = CameraModel(fx=600.0, fy=610.5, cx=320, cy=240.25, world_scale=2.0)
 CONFIG = EngineConfig(
     camera=CAMERA,
     fps=25.0,
-    lifting=LiftingConfig(min_thickness=0.25, depth_percentile=2.0,
-                          lifter=LifterSpec("depth_median", {"patch": 3})),
+    lifting=LiftingConfig(min_thickness=0.25, depth_percentile=2.0, patch=3),
     tracker=TrackerConfig(iou_gate=0.2, max_gap=4, predictor_window=3,
-                          association_mode="iou2d", min_track_score=0.5,
-                          predictor=PredictorSpec("linear", {"window": 2})),
-    metrics=MetricConfig(radius=0.4, tau=0.1),
+                          association_mode="iou2d", min_track_score=0.5),
 )
 
 
@@ -53,29 +47,14 @@ def test_write_config_bytes(tmp_path):
   "lifting": {
     "min_thickness": 0.25,
     "depth_percentile": 2.0,
-    "lifter": {
-      "name": "depth_median",
-      "parameters": {
-        "patch": 3
-      }
-    }
+    "patch": 3
   },
   "tracker": {
     "iou_gate": 0.2,
     "max_gap": 4,
     "predictor_window": 3,
     "association_mode": "iou2d",
-    "min_track_score": 0.5,
-    "predictor": {
-      "name": "linear",
-      "parameters": {
-        "window": 2
-      }
-    }
-  },
-  "metrics": {
-    "radius": 0.4,
-    "tau": 0.1
+    "min_track_score": 0.5
   }
 }
 """

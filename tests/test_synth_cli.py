@@ -75,6 +75,26 @@ def test_an_infinite_frame_in_a_scenario_file_exits_1_naming_the_file(tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def one_person(**change):
+    return {"persons": [{**minimal_scenario()["persons"][0], **change}]}
+
+
+@pytest.mark.parametrize("change, text", [
+    (one_person(waypoints=[[0, [0.0, 3.0]]]), "person 0 has a waypoint without 3 coordinates"),
+    ({"width": -5}, "scenario width and height must be ints > 0"),
+    (one_person(extent=[0.5, 1.0]), "person 0 extent must be 3 finite values, w and h > 0, d >= 0"),
+    ({"fps": 0}, "scenario fps must be finite and > 0"),
+    ({"depth_noise": -0.1}, "scenario noise must be finite and >= 0"),
+])
+def test_an_invalid_scenario_file_exits_1_before_writing_a_file(tmp_path, capsys, change, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**minimal_scenario(), **change}))
+    capsys.readouterr()
+    assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {text}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("change, error, text", [
     ({"frames": 0}, ScenarioError, "scenario needs at least one frame"),
     ({"camera": {"fx": -1.0, "fy": 60.0, "cx": 32.0, "cy": 24.0}}, ValidationError,
