@@ -692,8 +692,6 @@ def config_from_dict(obj: dict) -> EngineConfig:
         lifting=LiftingConfig(**obj.get("lifting", {})),
         tracker=TrackerConfig(**obj.get("tracker", {})),
     )
-    # Checked after the sections, so an old config's ``lifter`` or
-    # ``predictor`` key is reported through ``load_config``, with the file.
     unknown = [name for name in obj if name not in _SECTIONS]
     if unknown:
         raise ValidationError(f"config: unknown section {unknown[0]!r}")
@@ -717,7 +715,7 @@ def load_config(path: str | Path) -> EngineConfig:
         raise ParseError(f"{path}: config must be a JSON object")
     try:
         return config_from_dict(obj)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError, ValidationError) as e:
         raise ValidationError(f"{path}: {e}") from None
 
 

@@ -66,6 +66,9 @@ BUILTIN_NAMES = ("parallel_walk", "depth_cross", "full_occlusion", "three_person
 # Largest frame a scenario may render, in pixels: its float64 depth buffer
 # and noise draw are 128 MB each at this size.
 MAX_PIXELS = 2**24
+# Most depth values a scenario may render over all its frames, which are
+# held in memory until written: 1 GiB of float32 rasters.
+MAX_DEPTH_VALUES = 2**28
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.frames) is not int:
+            raise ScenarioError(f"scenario frames must be an int, got {self.frames!r}")
         if self.frames <= 0:
             raise ScenarioError("scenario needs at least one frame")
         if not (math.isfinite(self.fps) and self.fps > 0):
@@ -120,6 +125,9 @@ class Scenario:
         if self.width * self.height > MAX_PIXELS:
             raise ScenarioError(f"scenario frame {self.width}x{self.height} is over "
                                 f"the {MAX_PIXELS}-pixel budget")
+        if self.frames * self.width * self.height > MAX_DEPTH_VALUES:
+            raise ScenarioError(f"scenario of {self.frames} frames of {self.width}x{self.height} "
+                                f"is over the {MAX_DEPTH_VALUES}-depth-value budget")
         if not all(math.isfinite(v) and v >= 0.0 for v in (self.depth_noise, self.keypoint_noise)):
             raise ScenarioError("scenario noise must be finite and >= 0")
         for person, start, stop in self.dropouts:
@@ -399,7 +407,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         return Scenario(
             name=obj.get("name", "custom"),
             persons=persons,
-            frames=int(obj["frames"]),
+            frames=obj["frames"],
             fps=float(obj.get("fps", 20.0)),
             camera=CameraModel(**obj["camera"]),
             width=int(obj["width"]),

@@ -10,6 +10,7 @@ ends, so gaps are bridged but exits are never hallucinated.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -202,12 +203,16 @@ def predict(track: Track, window: int, target_frame: int) -> tuple[Box3D, Pose3D
     extrapolates with zero velocity.  A box whose fitted extents are not
     strictly increasing on every axis (a box that narrowed before the miss)
     is replaced by the last observed box, for the 3D and the 2D box alike.
+
+    Frames are counted from the last observed one, an exact integer shift,
+    so adding a constant to every frame leaves the prediction's bits alone.
     """
     observed = track.observed_states()[-window:]
     if not observed:
         raise ValidationError("predict: track has no observed state")
-    target = float(target_frame)
-    frames = np.array([s.frame_index for s in observed], dtype=np.float64)
+    last = observed[-1].frame_index
+    target = float(target_frame - last)
+    frames = np.array([s.frame_index - last for s in observed], dtype=np.float64)
     ref_pose = observed[-1].pose3d
 
     box_vals = np.stack([s.box3d.as_array() for s in observed])
@@ -416,38 +421,52 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     read again state by state, so the error names the first bad state's
     fault.  The poses of one track are rows of one joint array.  Track ids,
     births and state frames must be JSON integers.
+
+    The cyclic garbage collector is paused for the whole read: the decoded
+    lines and the ``TrackState``, ``Box3D`` and ``Pose3D`` objects built
+    from them hold no reference cycles, so its passes would free nothing,
+    yet the thousands of lists each line decodes into trigger them, full
+    collections included.  It is enabled again on return only if it was
+    enabled on entry.  The switch is process-wide, so code that toggles it
+    from another thread during a read is not supported.
     """
     path = Path(path)
     header: dict = {}
     tracks: list[Track] = []
-    for lineno, obj in json_lines(path):
-        try:
-            if "header" in obj:
-                header = obj["header"]
-                if not isinstance(header, dict):
-                    raise ParseError(f"{path}: header is not a JSON object", line=lineno)
-                continue
-            skeleton_id = header.get("skeleton", "basic15")
-            skel = get_skeleton(skeleton_id)
-            track = Track(track_id=json_int(obj["id"], "id", path, lineno),
-                          birth_frame=json_int(obj["birth"], "birth", path, lineno))
-            states = _states_from_arrays(obj["states"], skel)
-            if states is None:  # a state is bad: read state by state to name it
-                states = []
-                for s in obj["states"]:
-                    if s["kind"] not in (OBSERVED, PREDICTED):
-                        raise ParseError(
-                            f"{path}: unknown state kind {s['kind']!r}", line=lineno)
-                    states.append(TrackState(
-                        frame_index=json_int(s["frame"], "frame", path, lineno),
-                        kind=s["kind"],
-                        box3d=Box3D.from_array(s["box3d"]),
-                        pose3d=Pose3D(s["pose3d"], skel.root_index, skeleton_id),
-                    ))
-            track.states = states
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
-        except ValidationError as e:
-            raise ValidationError(f"{path}: line {lineno}: {e}") from None
-        tracks.append(track)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, obj in json_lines(path):
+            try:
+                if "header" in obj:
+                    header = obj["header"]
+                    if not isinstance(header, dict):
+                        raise ParseError(f"{path}: header is not a JSON object", line=lineno)
+                    continue
+                skeleton_id = header.get("skeleton", "basic15")
+                skel = get_skeleton(skeleton_id)
+                track = Track(track_id=json_int(obj["id"], "id", path, lineno),
+                              birth_frame=json_int(obj["birth"], "birth", path, lineno))
+                states = _states_from_arrays(obj["states"], skel)
+                if states is None:  # a state is bad: read state by state to name it
+                    states = []
+                    for s in obj["states"]:
+                        if s["kind"] not in (OBSERVED, PREDICTED):
+                            raise ParseError(
+                                f"{path}: unknown state kind {s['kind']!r}", line=lineno)
+                        states.append(TrackState(
+                            frame_index=json_int(s["frame"], "frame", path, lineno),
+                            kind=s["kind"],
+                            box3d=Box3D.from_array(s["box3d"]),
+                            pose3d=Pose3D(s["pose3d"], skel.root_index, skeleton_id),
+                        ))
+                track.states = states
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise ParseError(f"{path}: malformed track record ({e})", line=lineno) from None
+            except ValidationError as e:
+                raise ValidationError(f"{path}: line {lineno}: {e}") from None
+            tracks.append(track)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return header, tracks

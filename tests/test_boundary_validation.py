@@ -776,7 +776,7 @@ def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
             "--depth-dir", str(parallel_walk / "depth"), "--config", str(config_path),
             "--out", str(tmp_path / "tracks.jsonl")]
     assert cli_main(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
     assert not (tmp_path / "tracks.jsonl").exists()
 
 

@@ -193,6 +193,10 @@ def scenario(**changes):
 @pytest.mark.parametrize("changes, text", [
     ({"frames": 0}, "scenario needs at least one frame"),
     ({"frames": -3}, "scenario needs at least one frame"),
+    *[({"frames": frames}, f"scenario frames must be an int, got {frames!r}")
+      for frames in (4.0, True, "4")],
+    ({"frames": 2**28 // (64 * 48) + 1},
+     "scenario of 87382 frames of 64x48 is over the 268435456-depth-value budget"),
     ({"dropouts": ((1, 0, 2),)}, "dropout names unknown person 1"),
     ({"dropouts": ((-1, 0, 2),)}, "dropout names unknown person -1"),
     ({"persons": (PersonSpec((), (0.5, 1.0, 0.2)),)}, "person 0 has no waypoints"),
@@ -227,6 +231,10 @@ def test_scenario_rejects_each_invalid_field(changes, text):
 def test_scenario_accepts_a_repeated_waypoint_frame_and_a_flat_body():
     person = PersonSpec(((0, (0.0, 0.0, 3.0)), (0, (0.0, 0.0, 3.0))), (0.5, 1.0, 0.0))
     assert scenario(persons=(person,), width=2**12, height=2**12).persons == (person,)
+
+
+def test_scenario_accepts_frames_up_to_the_depth_budget():
+    assert scenario(frames=2**28 // (64 * 48)).frames == 87381
 
 
 def test_scenario_from_an_empty_object_names_the_missing_key():

@@ -60,8 +60,12 @@ def infinite_waypoint_frame(spec):
     spec["persons"][0]["waypoints"][0][0] = "Infinity"
 
 
-@pytest.mark.parametrize("corrupt", [infinite_frames, infinite_waypoint_frame])
-def test_an_infinite_frame_in_a_scenario_file_exits_1_naming_the_file(tmp_path, capsys, corrupt):
+@pytest.mark.parametrize("corrupt, text", [
+    (infinite_frames, "scenario frames must be an int, got inf"),
+    (infinite_waypoint_frame, "malformed scenario spec: cannot convert float infinity to integer"),
+])
+def test_an_infinite_frame_in_a_scenario_file_exits_1_naming_the_file(
+        tmp_path, capsys, corrupt, text):
     spec = minimal_scenario()
     corrupt(spec)
     path = tmp_path / "scenario.json"
@@ -70,8 +74,7 @@ def test_an_infinite_frame_in_a_scenario_file_exits_1_naming_the_file(tmp_path, 
     assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {path}: malformed scenario spec: "
-                            "cannot convert float infinity to integer\n")
+    assert captured.err == f"error: {path}: {text}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -85,6 +88,10 @@ def one_person(**change):
     (one_person(extent=[0.5, 1.0]), "person 0 extent must be 3 finite values, w and h > 0, d >= 0"),
     ({"fps": 0}, "scenario fps must be finite and > 0"),
     ({"depth_noise": -0.1}, "scenario noise must be finite and >= 0"),
+    ({"frames": 10**9}, "scenario of 1000000000 frames of 64x48 is over the "
+                        "268435456-depth-value budget"),
+    ({"frames": 3.0}, "scenario frames must be an int, got 3.0"),
+    ({"frames": True}, "scenario frames must be an int, got True"),
 ])
 def test_an_invalid_scenario_file_exits_1_before_writing_a_file(tmp_path, capsys, change, text):
     path = tmp_path / "scenario.json"

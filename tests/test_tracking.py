@@ -1,14 +1,18 @@
+import gc
 import math
+import re
 import time
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import best_assignment_total
 from pose3dtrack import ingest, tracking
 from pose3dtrack.cli import main as cli_main
-from pose3dtrack.errors import EmptySupportError, SequencingError
+from pose3dtrack.errors import EmptySupportError, ParseError, SequencingError, ValidationError
 from pose3dtrack.geometry import Box3D, iou3d
 from pose3dtrack.ingest import (
     BASIC15,
@@ -231,6 +235,41 @@ def test_prediction_of_a_narrowing_box_keeps_the_last_observed_box():
     assert math.isclose(first.box3d.x_min, 0.3 + 0.5 / 3, abs_tol=1e-12)
     assert math.isclose(first.box3d.x_max, 0.7 - 0.5 / 3, abs_tol=1e-12)
     assert second.box3d == track.states[2].box3d
+
+
+@st.composite
+def gapped_windows(draw):
+    """Five observed frames from 0-39 that are not consecutive, each with a
+    random box, pose and 2D box, and a target frame past the last."""
+    frames = draw(st.sets(st.integers(0, 39), min_size=5, max_size=5)
+                  .map(sorted).filter(lambda f: f[-1] - f[0] > 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(-2.0, 2.0, (5, 3)) + (0.0, 0.0, 6.0)
+    halves = rng.uniform(0.1, 0.8, (5, 3))
+    joints = rng.uniform(-3.0, 3.0, (5, 15, 4))
+    corners = rng.uniform(0.0, 300.0, (5, 2))
+    states = [(frame, Box3D(*np.ravel(np.stack([c - h, c + h], axis=1)).tolist()),
+               Pose3D(joints=j, root_index=BASIC15.root_index, skeleton_id=BASIC15.name),
+               Box2D(x, y, x + 40.0, y + 90.0))
+              for frame, c, h, j, (x, y) in zip(frames, centres, halves, joints, corners)]
+    return states, frames[-1] + draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(window=gapped_windows(), shift=st.sampled_from([1000, 12347]))
+def test_predict_is_invariant_to_a_frame_shift(window, shift):
+    states, target = window
+
+    def predicted(offset):
+        track = Track(track_id=0, birth_frame=states[0][0] + offset)
+        track.states = [TrackState(frame + offset, OBSERVED, box, pose, box2d=box2d)
+                        for frame, box, pose, box2d in states]
+        return predict(track, window=5, target_frame=target + offset)
+
+    (box, pose, box2d), (shifted_box, shifted_pose, shifted_box2d) = predicted(0), predicted(shift)
+    assert shifted_box == box
+    assert (shifted_pose.joints == pose.joints).all()
+    assert shifted_box2d == box2d
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +505,55 @@ def test_tracks_file_round_trip(tmp_path):
         for sa, sb in zip(ta.states, tb.states):
             np.testing.assert_array_equal(sa.pose3d.joints, sb.pose3d.joints)
             np.testing.assert_array_equal(sa.box3d.as_array(), sb.box3d.as_array())
+
+
+def _small_tracks_file(path):
+    tracks = [make_track(0, [(0.0, 0.0, 4.0), (0.1, 0.0, 4.0), (0.2, 0.0, 4.0)]),
+              make_track(1, [(2.0, 0.0, 6.0), (2.0, 0.1, 6.0)], start_frame=1,
+                         kinds=[OBSERVED, PREDICTED])]
+    write_tracks(path, tracks, skeleton_id=BASIC15.name, fps=20.0)
+    return path
+
+
+BAD_TRACK_LINES = {
+    "parse": ('{"id": "0", "birth": 0, "states": []}', ParseError),
+    "validation": ('{"id": 0, "birth": 0, "states": [{"frame": 0, "kind": "obs", '
+                   '"box3d": [1, 0, 0, 1, 0, 1], "pose3d": []}]}', ValidationError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("fault", [None, *BAD_TRACK_LINES])
+def test_read_tracks_leaves_the_collector_as_it_found_it(tmp_path, enabled, fault):
+    path = _small_tracks_file(tmp_path / "tracks.jsonl")
+    if fault:
+        line, error = BAD_TRACK_LINES[fault]
+        with open(path, "a") as f:
+            f.write(line + "\n")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fault:
+            with pytest.raises(error, match=re.escape(str(path))):
+                read_tracks(path)
+        else:
+            assert len(read_tracks(path)[1]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_tracks_file_read_leaves_no_cyclic_garbage(tmp_path):
+    # read_tracks pauses the collector on the premise that what it builds
+    # holds no reference cycles: with the collector off, nothing is left
+    # for it once the result is dropped.
+    path = _small_tracks_file(tmp_path / "tracks.jsonl")
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        read_tracks(path)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
