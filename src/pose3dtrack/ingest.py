@@ -173,6 +173,17 @@ def _bad_run(start, length, prev_end, total):
     return (length <= 0) | (start <= prev_end) | (length > total - start)
 
 
+def _mask_pixels(width, height):
+    """Pixel count of a width x height mask; both sides must be positive and
+    the count within the int64 index range."""
+    if width <= 0 or height <= 0:
+        raise ValidationError("Mask2D: non-positive dimensions")
+    total = width * height
+    if total > _INT64_MAX:
+        raise ValidationError(f"Mask2D: {width}x{height} pixels exceed the int64 index range")
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Mask2D:
     """Run-length encoded binary mask over row-major pixel order.
@@ -186,13 +197,7 @@ class Mask2D:
     runs: np.ndarray  # (n, 2) int64
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError("Mask2D: non-positive dimensions")
-        total = self.width * self.height
-        if total > _INT64_MAX:
-            raise ValidationError(
-                f"Mask2D: {self.width}x{self.height} pixels exceed the int64 index range"
-            )
+        total = _mask_pixels(self.width, self.height)
         runs = np.array(self.runs, dtype=np.int64)
         if runs.size == 0:
             runs = runs.reshape(0, 2)
@@ -243,10 +248,14 @@ def encode_mask(indices, width: int, height: int) -> Mask2D:
         idx = np.unique(idx)
     if idx.size and (idx[0] < 0 or idx[-1] >= width * height):
         raise ValidationError("encode_mask: index out of bounds")
+    _mask_pixels(width, height)
     opens = np.ones(idx.size, dtype=bool)  # index i starts a run
     opens[1:] = np.diff(idx) > 1
     starts, ends = idx[opens], idx[np.roll(opens, -1)]  # a run ends before the next opens
-    return Mask2D(width=width, height=height, runs=np.column_stack((starts, ends - starts + 1)))
+    runs = np.column_stack((starts, ends - starts + 1))
+    runs.setflags(write=False)
+    # Runs of distinct, in-bounds, ascending indices are canonical: no run check.
+    return _unchecked(Mask2D, width, height, runs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,12 +9,19 @@ follows the same z-buffer, the 2D box is the projected corner bound, and
 keypoints are the projected joints.  Dropouts remove a person from both
 rendering and detections while ground truth keeps listing them; noise is
 seeded and applied only after ground truth is captured.
+
+Each frame's full-frame depth-noise draw runs on one worker thread while
+the next frame is rendered.  The generator is still called in the serial
+order (a frame's keypoint draws, then its depth draw), so the output does
+not depend on the worker.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +137,11 @@ class Scenario:
                                 f"is over the {MAX_DEPTH_VALUES}-depth-value budget")
         if not all(math.isfinite(v) and v >= 0.0 for v in (self.depth_noise, self.keypoint_noise)):
             raise ScenarioError("scenario noise must be finite and >= 0")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ScenarioError(f"scenario seed must be an int >= 0, got {self.seed!r}")
         for person, start, stop in self.dropouts:
+            if {type(person), type(start), type(stop)} != {int}:
+                raise ScenarioError(f"dropout values must be ints, got {(person, start, stop)!r}")
             if not (0 <= person < len(self.persons)):
                 raise ScenarioError(f"dropout names unknown person {person}")
             if not (0 <= start < stop <= self.frames):
@@ -145,6 +156,9 @@ class Scenario:
             if not np.all(np.isfinite([c for _, pt in spec.waypoints for c in pt])):
                 raise ScenarioError(f"person {p} has a non-finite waypoint")
             frames = [f for f, _ in spec.waypoints]
+            for f in frames:
+                if type(f) is not int:
+                    raise ScenarioError(f"person {p} waypoint frame must be an int, got {f!r}")
             if any(b < a for a, b in zip(frames, frames[1:])):
                 raise ScenarioError(f"person {p} has waypoint frames that decrease")
             if not (len(spec.extent) == 3 and all(map(math.isfinite, spec.extent))
@@ -167,8 +181,10 @@ def _render_person(
     pid: int,
     box: Box3D,
     cam: CameraModel,
-) -> None:
-    """Z-buffer the cuboid into (depth, owner) via per-pixel ray entry."""
+) -> tuple[int, int, int, int] | None:
+    """Z-buffer the cuboid into (depth, owner) via per-pixel ray entry;
+    return the inclusive pixel block (r0, r1, c0, c1) it was drawn in, or
+    None when it projects outside the frame."""
     height, width = depth.shape
     corners_u, corners_v = _project_corners(box, cam)
     c0 = max(int(np.ceil(corners_u.min())), 0)
@@ -176,7 +192,7 @@ def _render_person(
     r0 = max(int(np.ceil(corners_v.min())), 0)
     r1 = min(int(np.floor(corners_v.max())), height - 1)
     if c0 > c1 or r0 > r1:
-        return
+        return None
     dx = (np.arange(c0, c1 + 1, dtype=np.float64) - cam.cx) / cam.fx
     dy = (np.arange(r0, r1 + 1, dtype=np.float64) - cam.cy) / cam.fy
 
@@ -200,6 +216,7 @@ def _render_person(
     better = hit & ((block_o < 0) | (entry < block_d))
     block_d[better] = entry[better]
     block_o[better] = pid
+    return r0, r1, c0, c1
 
 
 def _project(cam: CameraModel, x, y, z) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +225,9 @@ def _project(cam: CameraModel, x, y, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project_corners(box: Box3D, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    gx, gy, gz = np.meshgrid([box.x_min, box.x_max], [box.y_min, box.y_max],
-                             [box.z_min, box.z_max], indexing="ij")
-    return _project(cam, gx.ravel(), gy.ravel(), gz.ravel())
+    gx, gy, gz = np.array(list(product((box.x_min, box.x_max), (box.y_min, box.y_max),
+                                       (box.z_min, box.z_max)))).T
+    return _project(cam, gx, gy, gz)
 
 
 def _person_joints(spec: PersonSpec, frame: int) -> np.ndarray:
@@ -224,68 +241,94 @@ def _person_joints(spec: PersonSpec, frame: int) -> np.ndarray:
 
 
 def generate(sc: Scenario) -> tuple[SequenceInput, GroundTruth]:
-    """Render a scenario into engine inputs plus exact 3D ground truth."""
+    """Render a scenario into engine inputs plus exact 3D ground truth.
+
+    Frame f's full-frame depth-noise draw runs on one worker thread while
+    frame f + 1 is rendered, and is applied once draw f + 1 is under way.
+    The random stream is used in the serial order all the same: frame f's
+    keypoint draws, one per detection, then its depth draw, and only then
+    frame f + 1's keypoint draws.
+    """
     rng = np.random.default_rng(sc.seed)
     cam = sc.camera
     frames: list[FrameInput] = []
     gt_frames: dict[int, list[tuple[int, Pose3D]]] = {}
 
-    for frame in range(sc.frames):
-        for pid, spec in enumerate(sc.persons):
-            if spec.root_at(frame)[2] <= 0.0:
-                raise ScenarioError(f"person {pid} behind camera at frame {frame}")
-
-        depth = np.zeros((sc.height, sc.width), dtype=np.float64)
-        owner = np.full((sc.height, sc.width), -1, dtype=np.int32)
-        visible = [pid for pid in range(len(sc.persons)) if not sc.dropped(pid, frame)]
-        for pid in visible:
-            _render_person(depth, owner, pid, sc.persons[pid].box_at(frame), cam)
-
-        gt_frames[frame] = []
-        for pid, spec in enumerate(sc.persons):
-            joints3d = _person_joints(spec, frame)
-            pose = Pose3D(
-                joints=np.concatenate([joints3d, np.ones((joints3d.shape[0], 1))], axis=1),
-                root_index=BASIC15.root_index,
-                skeleton_id=BASIC15.name,
-            )
-            gt_frames[frame].append((pid, pose))
-
-        detections = []
-        for pid in visible:
-            spec = sc.persons[pid]
-            mask_idx = np.flatnonzero(owner.reshape(-1) == pid)
-            if mask_idx.size == 0:
-                continue  # fully covered by a nearer person
-            mask = encode_mask(mask_idx, sc.width, sc.height)
-            us, vs = _project_corners(spec.box_at(frame), cam)
-            box = Box2D(float(us.min()), float(vs.min()),
-                        float(us.max()), float(vs.max())).clamp(sc.width, sc.height)
-            joints3d = _person_joints(spec, frame)
-            kps = np.empty((joints3d.shape[0], 3), dtype=np.float64)
-            kps[:, 0], kps[:, 1] = _project(cam, *joints3d.T)
-            kps[:, 2] = 1.0
-            if sc.keypoint_noise > 0.0:
-                kps[:, :2] += rng.normal(0.0, sc.keypoint_noise, size=kps[:, :2].shape)
-            detections.append(Detection(
-                frame_index=frame,
-                box=box,
-                mask=mask,
-                keypoints=Keypoints2D(joints=kps, skeleton_id=BASIC15.name),
-                score=1.0,
-            ))
-
-        if sc.depth_noise > 0.0:
+    def finish(frame: int, depth: np.ndarray, detections: list, draw) -> None:
+        if draw is not None:
             valid = depth > 0.0
-            noise = rng.normal(0.0, sc.depth_noise, size=depth.shape)
-            depth[valid] = np.maximum(depth[valid] + noise[valid], 1e-6)
-
+            depth[valid] = np.maximum(depth[valid] + draw.result()[valid], 1e-6)
         frames.append(FrameInput(
             frame_index=frame,
             detections=tuple(detections),
             depth=DepthMap(width=sc.width, height=sc.height,
                            values=depth.astype(np.float32)),
         ))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:  # leaving the block joins it
+        pending = None  # the frame before: (frame, depth, detections, depth draw)
+        for frame in range(sc.frames):
+            for pid, spec in enumerate(sc.persons):
+                if spec.root_at(frame)[2] <= 0.0:
+                    raise ScenarioError(f"person {pid} behind camera at frame {frame}")
+
+            depth = np.zeros((sc.height, sc.width), dtype=np.float64)
+            owner = np.full((sc.height, sc.width), -1, dtype=np.int32)
+            visible = [pid for pid in range(len(sc.persons)) if not sc.dropped(pid, frame)]
+            blocks = [_render_person(depth, owner, pid, sc.persons[pid].box_at(frame), cam)
+                      for pid in visible]
+
+            gt_frames[frame] = []
+            for pid, spec in enumerate(sc.persons):
+                joints3d = _person_joints(spec, frame)
+                pose = Pose3D(
+                    joints=np.concatenate([joints3d, np.ones((joints3d.shape[0], 1))], axis=1),
+                    root_index=BASIC15.root_index,
+                    skeleton_id=BASIC15.name,
+                )
+                gt_frames[frame].append((pid, pose))
+
+            parts = []  # (box, mask, keypoints) per detection, before keypoint noise
+            for pid, block in zip(visible, blocks):
+                if block is None:
+                    continue
+                # A person owns pixels only inside the block it was drawn in;
+                # row-major order there keeps the frame indices ascending.
+                r0, r1, c0, c1 = block
+                rows, cols = np.divmod(np.flatnonzero(owner[r0:r1 + 1, c0:c1 + 1] == pid),
+                                       c1 - c0 + 1)
+                if rows.size == 0:
+                    continue  # fully covered by a nearer person
+                mask = encode_mask((rows + r0) * sc.width + cols + c0, sc.width, sc.height)
+                spec = sc.persons[pid]
+                us, vs = _project_corners(spec.box_at(frame), cam)
+                box = Box2D(float(us.min()), float(vs.min()),
+                            float(us.max()), float(vs.max())).clamp(sc.width, sc.height)
+                joints3d = _person_joints(spec, frame)
+                kps = np.empty((joints3d.shape[0], 3), dtype=np.float64)
+                kps[:, 0], kps[:, 1] = _project(cam, *joints3d.T)
+                kps[:, 2] = 1.0
+                parts.append((box, mask, kps))
+
+            if pending is not None and pending[3] is not None:
+                pending[3].result()  # the frame before's depth draw takes the stream first
+            detections = []
+            for box, mask, kps in parts:
+                if sc.keypoint_noise > 0.0:
+                    kps[:, :2] += rng.normal(0.0, sc.keypoint_noise, size=kps[:, :2].shape)
+                detections.append(Detection(
+                    frame_index=frame,
+                    box=box,
+                    mask=mask,
+                    keypoints=Keypoints2D(joints=kps, skeleton_id=BASIC15.name),
+                    score=1.0,
+                ))
+            draw = (worker.submit(rng.normal, 0.0, sc.depth_noise, depth.shape)
+                    if sc.depth_noise > 0.0 else None)
+            if pending is not None:
+                finish(*pending)
+            pending = (frame, depth, detections, draw)
+        finish(*pending)
 
     seq = SequenceInput(frames=tuple(frames), camera=cam, fps=sc.fps)
     return seq, GroundTruth(frames=gt_frames, skeleton_id=BASIC15.name)
@@ -398,8 +441,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     try:
         persons = tuple(
             PersonSpec(
-                waypoints=tuple((int(f), tuple(float(c) for c in pt))
-                                for f, pt in p["waypoints"]),
+                waypoints=tuple((f, tuple(float(c) for c in pt)) for f, pt in p["waypoints"]),
                 extent=tuple(float(c) for c in p["extent"]),
             )
             for p in obj["persons"]
@@ -410,12 +452,12 @@ def scenario_from_dict(obj: dict) -> Scenario:
             frames=obj["frames"],
             fps=float(obj.get("fps", 20.0)),
             camera=CameraModel(**obj["camera"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            dropouts=tuple(tuple(int(v) for v in d) for d in obj.get("dropouts", ())),
+            width=obj["width"],
+            height=obj["height"],
+            dropouts=tuple(map(tuple, obj.get("dropouts", ()))),
             depth_noise=float(obj.get("depth_noise", 0.0)),
             keypoint_noise=float(obj.get("keypoint_noise", 0.0)),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(f"malformed scenario spec: {e}") from None

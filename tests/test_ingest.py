@@ -91,6 +91,8 @@ def test_encode_decode_round_trip_random():
         mask = encode_mask(idx, int(w), int(h))
         assert decode_mask(mask) == idx
         assert encode_mask(decode_mask(mask), int(w), int(h)) == mask
+        assert Mask2D(mask.width, mask.height, mask.runs) == mask  # built unchecked
+        assert not mask.runs.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pose3dtrack.ingest import (
     CameraModel,
     DepthMap,
     FrameInput,
+    Mask2D,
     SequenceInput,
     Skeleton,
     config_from_dict,
@@ -59,6 +60,16 @@ def message(error, call):
 def test_encode_mask_rejects_an_index_outside_the_frame(indices):
     assert message(ValidationError, lambda: encode_mask(indices, 4, 3)) \
         == "encode_mask: index out of bounds"
+
+
+@pytest.mark.parametrize("width, height, text", [
+    (0, 3, "Mask2D: non-positive dimensions"),
+    (4, -1, "Mask2D: non-positive dimensions"),
+    (2**32, 2**32, "Mask2D: 4294967296x4294967296 pixels exceed the int64 index range"),
+])
+def test_encode_mask_rejects_a_frame_mask2d_rejects(width, height, text):
+    assert message(ValidationError, lambda: encode_mask([], width, height)) == text
+    assert message(ValidationError, lambda: Mask2D(width, height, ())) == text
 
 
 @pytest.mark.parametrize("width, height", [(0, 3), (4, 0), (-1, 3)])
@@ -197,6 +208,10 @@ def scenario(**changes):
       for frames in (4.0, True, "4")],
     ({"frames": 2**28 // (64 * 48) + 1},
      "scenario of 87382 frames of 64x48 is over the 268435456-depth-value budget"),
+    *[({"seed": seed}, f"scenario seed must be an int >= 0, got {seed!r}")
+      for seed in (2.5, True, -1, "3")],
+    *[({"dropouts": (dropout,)}, f"dropout values must be ints, got {dropout!r}")
+      for dropout in ((0, 1.0, 2), (False, 0, 2), (0, 0, "2"))],
     ({"dropouts": ((1, 0, 2),)}, "dropout names unknown person 1"),
     ({"dropouts": ((-1, 0, 2),)}, "dropout names unknown person -1"),
     ({"persons": (PersonSpec((), (0.5, 1.0, 0.2)),)}, "person 0 has no waypoints"),
@@ -219,6 +234,10 @@ def scenario(**changes):
     ({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)), (3, (0.0, 0.0, 3.0)),
                               (2, (0.0, 0.0, 3.0))), (0.5, 1.0, 0.2)),)},
      "person 0 has waypoint frames that decrease"),
+    *[({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)), (frame, (0.0, 0.0, 3.0))),
+                               (0.5, 1.0, 0.2)),)},
+       f"person 0 waypoint frame must be an int, got {frame!r}")
+      for frame in (2.0, True, "2")],
     *[({"persons": (PersonSpec(((0, (0.0, 0.0, 3.0)),), extent),)},
        "person 0 extent must be 3 finite values, w and h > 0, d >= 0")
       for extent in ((0.5, 1.0), (0.5, 1.0, 0.2, 0.1), (0.0, 1.0, 0.2), (0.5, -1.0, 0.2),
@@ -235,6 +254,25 @@ def test_scenario_accepts_a_repeated_waypoint_frame_and_a_flat_body():
 
 def test_scenario_accepts_frames_up_to_the_depth_budget():
     assert scenario(frames=2**28 // (64 * 48)).frames == 87381
+
+
+def scenario_dict(waypoint_frame=0, **changes):
+    return {"frames": 4, "width": 64, "height": 48,
+            "camera": {"fx": 60.0, "fy": 60.0, "cx": 32.0, "cy": 24.0},
+            "persons": [{"extent": [0.5, 1.0, 0.2],
+                         "waypoints": [[waypoint_frame, [0.0, 0.0, 3.0]]]}],
+            **changes}
+
+
+@pytest.mark.parametrize("changes, text", [
+    ({"width": 64.9}, "scenario width and height must be ints > 0"),
+    ({"height": True}, "scenario width and height must be ints > 0"),
+    ({"seed": 2.5}, "scenario seed must be an int >= 0, got 2.5"),
+    ({"dropouts": [[0, 1, 2.5]]}, "dropout values must be ints, got (0, 1, 2.5)"),
+    ({"waypoint_frame": 0.7}, "person 0 waypoint frame must be an int, got 0.7"),
+])
+def test_scenario_from_dict_takes_ints_only_as_json_ints(changes, text):
+    assert message(ScenarioError, lambda: scenario_from_dict(scenario_dict(**changes))) == text
 
 
 def test_scenario_from_an_empty_object_names_the_missing_key():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -223,3 +226,49 @@ def test_bundle_writes_all_artifacts(tmp_path):
     assert paths["config"].is_file()
     dpt_files = sorted(paths["depth_dir"].glob("*.dpt"))
     assert len(dpt_files) == sc.frames
+
+
+# sha256 over each bundle file's path (relative, "/"-separated) and the
+# sha256 of its bytes, in path order.  Both scenarios draw keypoint and depth
+# noise, and three_person_mix has a dropout, so these pin the order in which
+# a frame's keypoint draws and its depth draw take the random stream.
+@pytest.mark.parametrize("sc, digest", [
+    (builtin("three_person_mix", seed=5, depth_noise=0.02, keypoint_noise=0.5),
+     "34e6e06420292b064b33974aee7c36ad1bf2d2603ff616d19ea3349c404233bd"),
+    (builtin("depth_cross", seed=3, depth_noise=0.05, keypoint_noise=1.0),
+     "e2fac7d7cfad6d3e26972b94a0d3f712c68370218f971d0855af70983e3dd956"),
+], ids=["three_person_mix", "depth_cross"])
+def test_noisy_bundles_keep_their_bytes(tmp_path, sc, digest):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a draw taken out of turn would show
+    try:
+        write_scenario_bundle(sc, tmp_path)
+    finally:
+        sys.setswitchinterval(interval)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(files) == sc.frames + 4
+    h = hashlib.sha256()
+    for p in files:
+        h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0"
+                 + hashlib.sha256(p.read_bytes()).digest())
+    assert h.hexdigest() == digest
+
+
+def test_generate_leaves_no_worker_thread_behind():
+    """One person walks into the camera plane between frames 7 and 8."""
+    def walk_in(frames):
+        return Scenario(
+            name="walk_in",
+            persons=(PersonSpec(((0, (0.0, 0.0, 3.0)), (10, (0.0, 0.0, -1.0))), (0.5, 1.0, 0.2)),),
+            frames=frames, fps=20.0, camera=CameraModel(fx=60.0, fy=60.0, cx=32.0, cy=24.0),
+            width=64, height=48, depth_noise=0.05, keypoint_noise=0.5,
+        )
+
+    before = threading.active_count()
+    seq, _ = generate(walk_in(8))
+    assert [len(f.detections) for f in seq.frames] == [1] * 8
+    assert threading.active_count() == before
+    with pytest.raises(ScenarioError) as info:
+        generate(walk_in(12))
+    assert str(info.value) == "person 0 behind camera at frame 8"
+    assert threading.active_count() == before

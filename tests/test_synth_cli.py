@@ -62,7 +62,7 @@ def infinite_waypoint_frame(spec):
 
 @pytest.mark.parametrize("corrupt, text", [
     (infinite_frames, "scenario frames must be an int, got inf"),
-    (infinite_waypoint_frame, "malformed scenario spec: cannot convert float infinity to integer"),
+    (infinite_waypoint_frame, "person 0 waypoint frame must be an int, got inf"),
 ])
 def test_an_infinite_frame_in_a_scenario_file_exits_1_naming_the_file(
         tmp_path, capsys, corrupt, text):
@@ -92,6 +92,12 @@ def one_person(**change):
                         "268435456-depth-value budget"),
     ({"frames": 3.0}, "scenario frames must be an int, got 3.0"),
     ({"frames": True}, "scenario frames must be an int, got True"),
+    ({"width": 64.9}, "scenario width and height must be ints > 0"),
+    ({"height": True}, "scenario width and height must be ints > 0"),
+    ({"seed": 2.5}, "scenario seed must be an int >= 0, got 2.5"),
+    ({"dropouts": [[0, 0.5, 2]]}, "dropout values must be ints, got (0, 0.5, 2)"),
+    (one_person(waypoints=[[0.7, [0.0, 0.0, 3.0]]]),
+     "person 0 waypoint frame must be an int, got 0.7"),
 ])
 def test_an_invalid_scenario_file_exits_1_before_writing_a_file(tmp_path, capsys, change, text):
     path = tmp_path / "scenario.json"
@@ -100,6 +106,15 @@ def test_an_invalid_scenario_file_exits_1_before_writing_a_file(tmp_path, capsys
     assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: {text}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_seed_flag_exits_1_before_writing_a_file(tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_main(["synth", "--scenario", "parallel_walk", "--seed", "-1",
+                     "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: scenario seed must be an int >= 0, got -1\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change, error, text", [

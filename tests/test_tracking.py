@@ -3,6 +3,7 @@ import math
 import re
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,34 @@ def test_predict_is_invariant_to_a_frame_shift(window, shift):
     assert shifted_box == box
     assert (shifted_pose.joints == pose.joints).all()
     assert shifted_box2d == box2d
+
+
+@pytest.mark.parametrize("name, mode, shift", [
+    ("three_person_mix", "iou3d", 1000),
+    ("three_person_mix", "iou2d", 12347),
+    ("full_occlusion", "iou3d", 12347),
+    ("full_occlusion", "iou2d", 1000),
+])
+def test_tracks_are_invariant_to_a_frame_shift(name, mode, shift):
+    """Adding c to every frame index of a sequence adds c to every state's
+    frame and every birth, and changes nothing else in the tracks."""
+    seq, _ = generate(builtin(name, seed=7, depth_noise=0.5, keypoint_noise=0.5))
+    shifted = SequenceInput(frames=tuple(
+        replace(frame, frame_index=frame.frame_index + shift,
+                detections=tuple(replace(det, frame_index=det.frame_index + shift)
+                                 for det in frame.detections))
+        for frame in seq.frames), camera=seq.camera)
+    cfg = TrackerConfig(association_mode=mode)
+
+    def without_detections(tracks, offset):
+        return [replace(track, birth_frame=track.birth_frame + offset,
+                        states=[replace(s, frame_index=s.frame_index + offset, detection=None)
+                                for s in track.states])
+                for track in tracks]
+
+    tracks = run_sequence(seq, cfg)
+    assert any(s.kind == PREDICTED for track in tracks for s in track.states)
+    assert without_detections(run_sequence(shifted, cfg), 0) == without_detections(tracks, shift)
 
 
 # ---------------------------------------------------------------------------
