@@ -54,6 +54,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_synth(ns: argparse.Namespace) -> int:
+    path = None
     if ns.scenario in BUILTIN_NAMES:
         sc = builtin(ns.scenario, seed=ns.seed if ns.seed is not None else 0,
                      depth_noise=ns.noise)
@@ -69,7 +70,12 @@ def cmd_synth(ns: argparse.Namespace) -> int:
             sc = replace(sc, seed=ns.seed)
         if ns.noise > 0.0:
             sc = replace(sc, depth_noise=ns.noise)
-    paths = write_scenario_bundle(sc, ns.out_dir)
+    try:
+        paths = write_scenario_bundle(sc, ns.out_dir)
+    except PoseTrackError as e:
+        if path is None:
+            raise
+        raise type(e)(f"{path}: {e}") from None
     print(f"scenario={sc.name} frames={sc.frames} persons={len(sc.persons)} "
           f"out={paths['detections'].parent}")
     return 0

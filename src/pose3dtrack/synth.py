@@ -490,14 +490,15 @@ def write_scenario_bundle(sc: Scenario, out_dir: str | Path) -> dict[str, Path]:
     """Render a scenario and write every engine input artifact into out_dir.
 
     Produces the detections file, per-frame depth rasters, the ground-truth
-    file, the scenario echo, and a ready-to-use engine config.
+    file, the scenario echo, and a ready-to-use engine config.  The
+    scenario is rendered before any directory is made, so a scenario that
+    fails to render leaves nothing behind.
     """
+    seq, gt = generate(sc)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     depth_dir = out_dir / "depth"
     depth_dir.mkdir(exist_ok=True)
-
-    seq, gt = generate(sc)
     all_dets = [det for frame in seq.frames for det in frame.detections]
     paths = {
         "detections": out_dir / "detections.jsonl",

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # run_sequence calls depth_extrema and the frame kernel lift_poses through
 # their modules, where per-layer tracing patches them.
@@ -78,22 +77,96 @@ class Track:
 # Assignment
 # ---------------------------------------------------------------------------
 
+def _dense_assignment(cost: np.ndarray) -> np.ndarray:
+    """Each row's column in a minimum-``cost`` assignment of a dense
+    matrix with no more rows than columns: shortest augmenting paths with
+    dual potentials (Crouse, IEEE TAES 2016), one row added per pass."""
+    n, m = cost.shape
+    u, v = np.zeros(n), np.zeros(m)
+    col4row, row4col = np.full(n, -1), np.full(m, -1)
+    for cur in range(n):
+        # Dijkstra over columns from row cur until it reaches a free column.
+        # A closed column's potential reads -inf in `shut`, so no path
+        # reaches it again; reached[j] is its distance when it closed.
+        dist, reached, path = np.full(m, np.inf), np.full(m, np.inf), np.full(m, -1)
+        shut, seen_r, free = v.copy(), [cur], np.flatnonzero(row4col < 0)
+        i, reach = cur, 0.0
+        while True:
+            through = cost[i] - shut
+            through += reach - u[i]
+            closer = through < dist
+            np.copyto(dist, through, where=closer)
+            path[closer] = i
+            j = int(dist.argmin())
+            reach = float(dist[j])
+            if row4col[j] >= 0:  # at equal distance a free column ends the search
+                k = int(free[dist[free].argmin()])
+                j = k if dist[k] == reach else j
+            shut[j], reached[j], dist[j] = -np.inf, reach, np.inf
+            if row4col[j] < 0:
+                break
+            i = int(row4col[j])
+            seen_r.append(i)
+        closed = shut == -np.inf
+        others = seen_r[1:]
+        u[cur] += reach
+        u[others] += reach - reached[col4row[others]]
+        v[closed] -= reach - reached[closed]
+        while True:  # flip the path back to row cur
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _assignment(cost: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``allowed`` (rows, cols) of a minimum-``cost`` assignment.
+
+    Every disallowed pair must cost the same, more than any allowed pair;
+    then a minimum-cost assignment is a maximum-weight matching of allowed
+    pairs, weighing ``disallowed cost - cost``, which splits over the
+    components of the ``allowed`` graph.  A pair alone on its row and its
+    column is a component of its own and is taken as it is; the other
+    rows and columns with an allowed pair are solved densely together.
+    """
+    row_deg, col_deg = allowed.sum(axis=1), allowed.sum(axis=0)
+    alone = allowed & (row_deg == 1)[:, None] & (col_deg == 1)
+    rows, cols = np.nonzero(alone)
+    rest_r = np.flatnonzero((row_deg > 0) & ~alone.any(axis=1))
+    if not rest_r.size:
+        return rows, cols
+    rest_c = np.flatnonzero((col_deg > 0) & ~alone.any(axis=0))
+    sub = cost[np.ix_(rest_r, rest_c)]
+    if len(rest_r) <= len(rest_c):
+        sub_r, sub_c = np.arange(len(rest_r)), _dense_assignment(sub)
+    else:
+        sub_r, sub_c = _dense_assignment(sub.T), np.arange(len(rest_c))
+    sub_r, sub_c = rest_r[sub_r], rest_c[sub_c]
+    keep = allowed[sub_r, sub_c]
+    return np.concatenate([rows, sub_r[keep]]), np.concatenate([cols, sub_c[keep]])
+
+
 def canonical_matching(cost: np.ndarray, allowed: np.ndarray,
                        value: Callable) -> list[tuple[int, int]]:
     """The canonical maximum-``value`` matching of rows to columns, by row.
 
     The rule: among the matchings of ``allowed`` pairs with maximal
     ``value(pairs)``, rows in ascending order each take the lowest column
-    still possible, and staying unmatched ranks after every column.  A
+    still possible, and staying unmatched ranks after every column.  Every
+    disallowed pair costs the same, more than any allowed pair, and a
     minimum-``cost`` assignment without its disallowed pairs must have
     maximal value; ``value`` should sum exactly (``math.fsum``).
 
-    One ``linear_sum_assignment`` gives a maximal matching.  A row is
-    movable when an allowed column below its own (any, if it is unmatched)
-    is held by no earlier row; with none, no matching ranks before this
-    one.  Else the first movable row tries those columns in ascending
-    order, solving the later rows again, keeps the first that stays
-    maximal, and the scan goes on from the next row.
+    One solve of the in-tree kernel gives a maximal matching: a pair alone
+    on its row and its column is taken as it is, and the rows and columns
+    left with an allowed pair go to one dense shortest-augmenting-path
+    solve.  A row is movable when an allowed column below its own (any, if
+    it is unmatched) is held by no earlier row; with none, no matching
+    ranks before this one.  Else the first movable row tries those columns
+    in ascending order, solving the later rows again, keeps the first that
+    stays maximal, and the scan goes on from the next row.
     """
     n, m = cost.shape
 
@@ -101,9 +174,8 @@ def canonical_matching(cost: np.ndarray, allowed: np.ndarray,
         return [(r, c) for r, c in enumerate(col.tolist()) if c < m]
 
     col = np.full(n, m)  # each row's column; m: unmatched
-    rows, cols = linear_sum_assignment(cost)
-    keep = allowed[rows, cols]
-    col[rows[keep]] = cols[keep]
+    rows, cols = _assignment(cost, allowed)
+    col[rows] = cols
     row_ids, col_ids = np.arange(n), np.arange(m)
     start, best = 0, None
     while True:
@@ -120,9 +192,8 @@ def canonical_matching(cost: np.ndarray, allowed: np.ndarray,
             trial = col.copy()
             trial[r], trial[r + 1:] = c, m
             free = np.setdiff1d(col_ids, trial[:r + 1])
-            sub_r, sub_c = linear_sum_assignment(cost[r + 1:][:, free])
-            keep = allowed[sub_r + r + 1, free[sub_c]]
-            trial[sub_r[keep] + r + 1] = free[sub_c[keep]]
+            sub_r, sub_c = _assignment(cost[r + 1:][:, free], allowed[r + 1:][:, free])
+            trial[sub_r + r + 1] = free[sub_c]
             if (trial_value := value(pairs(trial))) >= best:
                 col, best = trial, trial_value
                 break

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,30 @@ def reference_canonical_matching(allowed, value) -> list[tuple[int, int]]:
         if best_key is None or key > best_key:
             best_key, best = key, pairs
     return best
+
+
+def reference_assignment(iou, gate):
+    """``assign_by_iou`` by enumeration: (pairs, unmatched rows, unmatched
+    columns) of the canonical matching of gated pairs, by exact IOU sums."""
+    allowed = (iou > 0.0) & (iou >= gate)
+    pairs = reference_canonical_matching(
+        allowed, lambda pairs: sum(Fraction(iou[r, c]) for r, c in pairs))
+    n, m = iou.shape
+    return (pairs, [r for r in range(n) if r not in {r for r, _ in pairs}],
+            [c for c in range(m) if c not in {c for _, c in pairs}])
+
+
+def reference_frame_matching(gts, preds, radius):
+    """``match_frame`` by enumeration on poses that differ only in root x:
+    the most pairs within ``radius``, then the least exact total distance,
+    with ids in ascending order on both sides."""
+    gts, preds = sorted(gts, key=lambda g: g[0]), sorted(preds, key=lambda p: p[0])
+    dist = np.array([[abs(float(g.root[0] - p.root[0])) for _, p in preds]
+                     for _, g in gts]).reshape(len(gts), len(preds))
+    pairs = reference_canonical_matching(
+        dist <= radius,
+        lambda pairs: (len(pairs), -sum(Fraction(dist[r, c]) for r, c in pairs)))
+    return [(gts[r][0], preds[c][0]) for r, c in pairs]
 
 
 def clear_frame_counts(gts, preds, prev_assignment, radius):

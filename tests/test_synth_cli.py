@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from pose3dtrack import synth as synth_module
 from pose3dtrack.cli import main as cli_main
 from pose3dtrack.errors import ScenarioError, ValidationError
 from pose3dtrack.synth import BUILTIN_NAMES, builtin, load_scenario, scenario_to_dict
@@ -114,6 +115,34 @@ def test_a_negative_seed_flag_exits_1_before_writing_a_file(tmp_path, capsys):
     assert cli_main(["synth", "--scenario", "parallel_walk", "--seed", "-1",
                      "--out-dir", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: scenario seed must be an int >= 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, text", [
+    ({"frames": 12, **one_person(waypoints=[[0, [0.0, 0.0, 3.0]], [10, [0.0, 0.0, -1.0]]])},
+     "person 0 behind camera at frame 8"),
+    (one_person(waypoints=[[0, [1e30, 0.0, 3.0]]]),
+     "Box3D: degenerate extents x[1e+30, 1e+30] y[-0.5, 0.5] z[3.0, 3.2]"),
+])
+def test_a_scenario_file_that_fails_to_render_exits_1_naming_the_file(
+        tmp_path, capsys, change, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**minimal_scenario(), **change}))
+    capsys.readouterr()
+    assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {text}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_builtin_that_fails_to_render_keeps_its_text(tmp_path, capsys, monkeypatch):
+    def behind_camera(sc):
+        raise ScenarioError("person 0 behind camera at frame 8")
+
+    monkeypatch.setattr(synth_module, "generate", behind_camera)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_main(["synth", "--scenario", "parallel_walk", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: person 0 behind camera at frame 8\n")
     assert not out.exists()
 
 

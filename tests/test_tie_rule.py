@@ -8,12 +8,11 @@ a brute-force enumerator; a counter guards the one-solve fast path.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import reference_canonical_matching
+from oracles import reference_assignment, reference_frame_matching
 from pose3dtrack import metrics, tracking
 from pose3dtrack.ingest import BASIC15, TrackerConfig
 from pose3dtrack.metrics import match_frame, matched_pose_pairs, mota
@@ -27,24 +26,6 @@ def pose_at(x):
     return Pose3D(joints=joints, root_index=BASIC15.root_index, skeleton_id=BASIC15.name)
 
 
-def expected_assignment(iou, gate):
-    allowed = (iou > 0.0) & (iou >= gate)
-    pairs = reference_canonical_matching(
-        allowed, lambda pairs: sum(Fraction(iou[r, c]) for r, c in pairs))
-    n, m = iou.shape
-    return (pairs, [r for r in range(n) if r not in {r for r, _ in pairs}],
-            [c for c in range(m) if c not in {c for _, c in pairs}])
-
-
-def expected_frame_matching(gts, preds, radius):
-    gts, preds = sorted(gts, key=lambda g: g[0]), sorted(preds, key=lambda p: p[0])
-    dist = np.array([[abs(float(g.root[0] - p.root[0])) for _, p in preds] for _, g in gts])
-    pairs = reference_canonical_matching(
-        dist <= radius,
-        lambda pairs: (len(pairs), -sum(Fraction(dist[r, c]) for r, c in pairs)))
-    return [(gts[r][0], preds[c][0]) for r, c in pairs]
-
-
 # ---------------------------------------------------------------------------
 # The rule against the enumerator
 # ---------------------------------------------------------------------------
@@ -55,7 +36,7 @@ def test_assign_by_iou_follows_the_rule_on_dyadic_ties():
         n, m = rng.integers(1, 5, size=2)
         iou = rng.integers(0, 5, size=(n, m)) / 4.0
         for gate in (0.0, 0.25, 0.5):
-            assert assign_by_iou(iou, gate) == expected_assignment(iou, gate)
+            assert assign_by_iou(iou, gate) == reference_assignment(iou, gate)
 
 
 def test_match_frame_follows_the_rule_on_dyadic_ties():
@@ -67,7 +48,7 @@ def test_match_frame_follows_the_rule_on_dyadic_ties():
                zip(rng.permutation(9)[:n], rng.integers(0, 5, size=n))]
         preds = [(int(i), pose_at(x / 4.0)) for i, x in
                  zip(rng.permutation(9)[:m], rng.integers(0, 5, size=m))]
-        assert match_frame(gts, preds, 0.5) == expected_frame_matching(gts, preds, 0.5)
+        assert match_frame(gts, preds, 0.5) == reference_frame_matching(gts, preds, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +92,7 @@ def test_untied_frames_take_one_solve_each(monkeypatch, name):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    counting(tracking, "linear_sum_assignment", "solves", lambda *args: 1)
+    counting(tracking, "_assignment", "solves", lambda *args: 1)
     counting(tracking, "assign_by_iou", "assignments", lambda iou, gate: iou.size > 0)
     counting(metrics, "match_frame", "assignments", lambda gts, preds, radius: bool(gts and preds))
     seq, gt = generate(builtin(name))
