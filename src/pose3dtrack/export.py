@@ -81,8 +81,15 @@ def export_scene(tracks: list[Track], fps: float, skeleton_id: str) -> SceneDocu
                          engine_version=__version__, actors=tuple(actors))
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool), else a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _sample_from_dict(actor_id: int, s: dict, joint_count: int) -> ActorSample:
-    frame = int(s["frame"])
+    frame = _integer(s["frame"], "frame")
     if s["state"] not in _STATE_NAMES.values():
         raise ValidationError(f"actor {actor_id} frame {frame}: unknown state {s['state']!r}")
     joints = np.asarray(s["joints"], dtype=np.float64)
@@ -99,12 +106,14 @@ def scene_from_dict(obj: dict) -> SceneDocument:
         raise TypeError(f"actors must be a list, got {type(obj['actors']).__name__}")
     actors = []
     for a in obj["actors"]:
-        actor_id = int(a["id"])
+        actor_id = _integer(a["id"], "id")
         actors.append(Actor(
             actor_id=actor_id,
-            birth_frame=int(a["birth"]),
+            birth_frame=_integer(a["birth"], "birth"),
             samples=tuple(_sample_from_dict(actor_id, s, joint_count) for s in a["samples"]),
         ))
+    if type(meta["fps"]) not in (int, float):
+        raise TypeError(f"fps must be a number, got {meta['fps']!r}")
     return SceneDocument(
         fps=_checked_fps(float(meta["fps"])),
         skeleton_id=meta["skeleton"],

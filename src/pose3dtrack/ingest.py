@@ -593,8 +593,9 @@ def load_sequence(
     The depth directory defines the frame set (one ``<frame>.dpt`` per video
     frame, ``<frame>`` in ASCII digits); frames without detections stay in
     the sequence so the tracker sees them as misses.  A detection whose frame
-    has no raster is an error, as is a name ``int()`` reads as a number but
-    that is not plain digits.  Other names are skipped.
+    has no raster is an error (it names the first line with that frame), as
+    is a name ``int()`` reads as a number but that is not plain digits.
+    Other names are skipped.
     """
     depth_dir = Path(depth_dir)
     by_frame = {fd.frame_index: fd.detections
@@ -615,8 +616,11 @@ def load_sequence(
         depth_frames[index] = path
     missing = sorted(set(by_frame) - set(depth_frames))
     if missing:
+        # The file is valid by now, so every line has an integer frame.
+        line = next(lineno for lineno, obj in json_lines(Path(detections_path))
+                    if obj["frame"] == missing[0])
         raise ValidationError(
-            f"frame {missing[0]}: missing depth raster "
+            f"{detections_path}: line {line}: frame {missing[0]}: missing depth raster "
             f"{depth_dir / f'{missing[0]}.dpt'}"
         )
     frames = [
@@ -689,11 +693,25 @@ class EngineConfig:
 
 
 _SECTIONS = ("camera", "fps", "skeleton", "lifting", "tracker")
+# The float fields, which must hold JSON numbers: a bool or a numeric
+# string is not one.  (section, its class, fields); section None is the top.
+_NUMBER_FIELDS = (
+    (None, "EngineConfig", ("fps",)),
+    ("camera", "CameraModel", ("fx", "fy", "cx", "cy", "world_scale")),
+    ("lifting", "LiftingConfig", ("min_thickness", "depth_percentile")),
+    ("tracker", "TrackerConfig", ("iou_gate", "min_track_score")),
+)
 
 
 def config_from_dict(obj: dict) -> EngineConfig:
     if "camera" not in obj:
         raise ValidationError("config: missing required 'camera' section")
+    for name, owner, fields in _NUMBER_FIELDS:
+        section = obj if name is None else obj.get(name, {})
+        for key in fields if isinstance(section, dict) else ():
+            value = section.get(key, 0.0)
+            if type(value) not in (int, float):
+                raise ValidationError(f"{owner}: {key} must be a number, got {value!r}")
     cfg = EngineConfig(
         camera=CameraModel(**obj["camera"]),
         fps=float(obj.get("fps", 30.0)),

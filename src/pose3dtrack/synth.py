@@ -10,10 +10,10 @@ keypoints are the projected joints.  Dropouts remove a person from both
 rendering and detections while ground truth keeps listing them; noise is
 seeded and applied only after ground truth is captured.
 
-Each frame's full-frame depth-noise draw runs on one worker thread while
-the next frame is rendered.  The generator is still called in the serial
-order (a frame's keypoint draws, then its depth draw), so the output does
-not depend on the worker.
+One worker thread makes every random draw, each frame's while the next
+frame is rendered, in the serial order (a frame's keypoint draws, then its
+depth draw); the main thread applies them, so the output does not depend
+on the worker.
 """
 
 from __future__ import annotations
@@ -180,13 +180,14 @@ def _render_person(
     owner: np.ndarray,
     pid: int,
     box: Box3D,
+    corners_u: np.ndarray,
+    corners_v: np.ndarray,
     cam: CameraModel,
 ) -> tuple[int, int, int, int] | None:
-    """Z-buffer the cuboid into (depth, owner) via per-pixel ray entry;
-    return the inclusive pixel block (r0, r1, c0, c1) it was drawn in, or
-    None when it projects outside the frame."""
+    """Z-buffer the cuboid, its corners projected to (corners_u, corners_v),
+    into (depth, owner) by ray entry; return the inclusive pixel block
+    (r0, r1, c0, c1) it was drawn in, or None when it is outside the frame."""
     height, width = depth.shape
-    corners_u, corners_v = _project_corners(box, cam)
     c0 = max(int(np.ceil(corners_u.min())), 0)
     c1 = min(int(np.floor(corners_u.max())), width - 1)
     r0 = max(int(np.ceil(corners_v.min())), 0)
@@ -230,66 +231,77 @@ def _project_corners(box: Box3D, cam: CameraModel) -> tuple[np.ndarray, np.ndarr
     return _project(cam, gx, gy, gz)
 
 
-def _person_joints(spec: PersonSpec, frame: int) -> np.ndarray:
+def _person_joints(pid: int, spec: PersonSpec, frame: int) -> np.ndarray:
+    """Person pid's (J, 4) joints at ``frame``, with confidence 1; all lie
+    at the root's depth, which must be in front of the camera."""
     root = spec.root_at(frame)
-    w, h, _ = spec.extent
-    joints = np.empty((CANONICAL_OFFSETS.shape[0], 3), dtype=np.float64)
-    joints[:, 0] = root[0] + CANONICAL_OFFSETS[:, 0] * w
-    joints[:, 1] = root[1] + CANONICAL_OFFSETS[:, 1] * h
-    joints[:, 2] = root[2]
-    return joints
+    if root[2] <= 0.0:
+        raise ScenarioError(f"person {pid} behind camera at frame {frame}")
+    offsets = CANONICAL_OFFSETS * spec.extent[:2]
+    count = offsets.shape[0]
+    return np.column_stack([root[0] + offsets[:, 0], root[1] + offsets[:, 1],
+                            np.full(count, root[2]), np.ones(count)])
 
 
 def generate(sc: Scenario) -> tuple[SequenceInput, GroundTruth]:
     """Render a scenario into engine inputs plus exact 3D ground truth.
 
-    Frame f's full-frame depth-noise draw runs on one worker thread while
-    frame f + 1 is rendered, and is applied once draw f + 1 is under way.
-    The random stream is used in the serial order all the same: frame f's
-    keypoint draws, one per detection, then its depth draw, and only then
-    frame f + 1's keypoint draws.
+    Once frame f is rendered, one worker thread makes its random draws in
+    the serial order (one keypoint draw per detection, then the depth
+    draw) while frame f + 1 is rendered; the main thread then applies them
+    and builds frame f.  The worker runs its tasks in submission order, so
+    the stream is used frame by frame as a serial loop would use it.
     """
     rng = np.random.default_rng(sc.seed)
     cam = sc.camera
     frames: list[FrameInput] = []
     gt_frames: dict[int, list[tuple[int, Pose3D]]] = {}
 
-    def finish(frame: int, depth: np.ndarray, detections: list, draw) -> None:
-        if draw is not None:
+    def draw(count: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """A frame's draws, on the worker: the only code that calls ``rng``."""
+        keypoints = [rng.normal(0.0, sc.keypoint_noise, (CANONICAL_OFFSETS.shape[0], 2))
+                     for _ in range(count if sc.keypoint_noise > 0.0 else 0)]
+        return keypoints, (rng.normal(0.0, sc.depth_noise, (sc.height, sc.width))
+                           if sc.depth_noise > 0.0 else None)
+
+    def finish(frame: int, depth: np.ndarray, parts: list, draws) -> None:
+        keypoint_draws, depth_draw = draws.result()
+        if depth_draw is not None:
             valid = depth > 0.0
-            depth[valid] = np.maximum(depth[valid] + draw.result()[valid], 1e-6)
+            depth[valid] = np.maximum(depth[valid] + depth_draw[valid], 1e-6)
+        for (_, _, kps), noise in zip(parts, keypoint_draws):
+            kps[:, :2] += noise
         frames.append(FrameInput(
             frame_index=frame,
-            detections=tuple(detections),
+            detections=tuple(
+                Detection(frame_index=frame, box=box, mask=mask, score=1.0,
+                          keypoints=Keypoints2D(joints=kps, skeleton_id=BASIC15.name))
+                for box, mask, kps in parts),
             depth=DepthMap(width=sc.width, height=sc.height,
                            values=depth.astype(np.float32)),
         ))
 
     with ThreadPoolExecutor(max_workers=1) as worker:  # leaving the block joins it
-        pending = None  # the frame before: (frame, depth, detections, depth draw)
+        pending = None  # the frame before: (frame, depth, parts, its draws)
         for frame in range(sc.frames):
-            for pid, spec in enumerate(sc.persons):
-                if spec.root_at(frame)[2] <= 0.0:
-                    raise ScenarioError(f"person {pid} behind camera at frame {frame}")
+            joints = [_person_joints(pid, spec, frame) for pid, spec in enumerate(sc.persons)]
 
             depth = np.zeros((sc.height, sc.width), dtype=np.float64)
             owner = np.full((sc.height, sc.width), -1, dtype=np.int32)
-            visible = [pid for pid in range(len(sc.persons)) if not sc.dropped(pid, frame)]
-            blocks = [_render_person(depth, owner, pid, sc.persons[pid].box_at(frame), cam)
-                      for pid in visible]
-
-            gt_frames[frame] = []
+            drawn = []  # (pid, projected corners, block) per visible person
             for pid, spec in enumerate(sc.persons):
-                joints3d = _person_joints(spec, frame)
-                pose = Pose3D(
-                    joints=np.concatenate([joints3d, np.ones((joints3d.shape[0], 1))], axis=1),
-                    root_index=BASIC15.root_index,
-                    skeleton_id=BASIC15.name,
-                )
-                gt_frames[frame].append((pid, pose))
+                if not sc.dropped(pid, frame):
+                    box = spec.box_at(frame)
+                    corners = _project_corners(box, cam)
+                    drawn.append((pid, corners,
+                                  _render_person(depth, owner, pid, box, *corners, cam)))
+
+            gt_frames[frame] = [
+                (pid, Pose3D(joints=person, root_index=BASIC15.root_index, skeleton_id=BASIC15.name))
+                for pid, person in enumerate(joints)]
 
             parts = []  # (box, mask, keypoints) per detection, before keypoint noise
-            for pid, block in zip(visible, blocks):
+            for pid, (us, vs), block in drawn:
                 if block is None:
                     continue
                 # A person owns pixels only inside the block it was drawn in;
@@ -300,34 +312,16 @@ def generate(sc: Scenario) -> tuple[SequenceInput, GroundTruth]:
                 if rows.size == 0:
                     continue  # fully covered by a nearer person
                 mask = encode_mask((rows + r0) * sc.width + cols + c0, sc.width, sc.height)
-                spec = sc.persons[pid]
-                us, vs = _project_corners(spec.box_at(frame), cam)
                 box = Box2D(float(us.min()), float(vs.min()),
                             float(us.max()), float(vs.max())).clamp(sc.width, sc.height)
-                joints3d = _person_joints(spec, frame)
-                kps = np.empty((joints3d.shape[0], 3), dtype=np.float64)
-                kps[:, 0], kps[:, 1] = _project(cam, *joints3d.T)
-                kps[:, 2] = 1.0
+                ju, jv = _project(cam, *joints[pid][:, :3].T)
+                kps = np.stack([ju, jv, np.ones_like(ju)], axis=1)
                 parts.append((box, mask, kps))
 
-            if pending is not None and pending[3] is not None:
-                pending[3].result()  # the frame before's depth draw takes the stream first
-            detections = []
-            for box, mask, kps in parts:
-                if sc.keypoint_noise > 0.0:
-                    kps[:, :2] += rng.normal(0.0, sc.keypoint_noise, size=kps[:, :2].shape)
-                detections.append(Detection(
-                    frame_index=frame,
-                    box=box,
-                    mask=mask,
-                    keypoints=Keypoints2D(joints=kps, skeleton_id=BASIC15.name),
-                    score=1.0,
-                ))
-            draw = (worker.submit(rng.normal, 0.0, sc.depth_noise, depth.shape)
-                    if sc.depth_noise > 0.0 else None)
+            draws = worker.submit(draw, len(parts))
             if pending is not None:
                 finish(*pending)
-            pending = (frame, depth, detections, draw)
+            pending = (frame, depth, parts, draws)
         finish(*pending)
 
     seq = SequenceInput(frames=tuple(frames), camera=cam, fps=sc.fps)
@@ -477,7 +471,7 @@ def ground_truth_tracks(sc: Scenario, gt: GroundTruth) -> list[Track]:
     for pid, spec in enumerate(sc.persons):
         track = Track(track_id=pid, birth_frame=0)
         for frame in range(sc.frames):
-            pose = dict(gt.frames[frame])[pid]
+            _, pose = gt.frames[frame][pid]  # each frame lists every person in order
             track.states.append(TrackState(
                 frame_index=frame, kind=OBSERVED,
                 box3d=spec.box_at(frame), pose3d=pose,

@@ -316,8 +316,7 @@ class Tracker:
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         self.live: list[Track] = []
-        self.finished: list[Track] = []
-        self.next_id = 0
+        self.tracks: list[Track] = []  # every track, in spawn order: its id is its position
         self.last_frame = -1
 
     def step(self, frame_index: int, items: list[tuple[Detection, Box3D, Pose3D]]) -> None:
@@ -361,23 +360,22 @@ class Tracker:
         spawn.sort(key=lambda i: (-items[i][0].score, i))
         for det_index in spawn:
             det, box3d, pose = items[det_index]
-            track = Track(track_id=self.next_id, birth_frame=frame_index)
+            track = Track(track_id=len(self.tracks), birth_frame=frame_index)
             track.states.append(TrackState(frame_index, OBSERVED, box3d, pose,
                                            box2d=det.box, detection=det))
-            self.next_id += 1
+            self.tracks.append(track)
             self.live.append(track)
 
     def _terminate(self, track: Track) -> None:
         track.drop_trailing_predictions()
         track.terminated = True
-        self.finished.append(track)
 
     def finalize(self) -> list[Track]:
         """Close all live tracks and return every track in id order."""
         for track in self.live:
             self._terminate(track)
         self.live = []
-        return sorted(self.finished, key=lambda t: t.track_id)
+        return self.tracks
 
 
 def run_sequence(

@@ -451,6 +451,26 @@ def test_read_scene_mistyped_value_names_file(tmp_path, field, value):
         read_scene(_scene_file(tmp_path, scene))
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("id", 1.9, "id must be an integer, got 1.9"),
+    ("id", "1", "id must be an integer, got '1'"),
+    ("birth", True, "birth must be an integer, got True"),
+    ("frame", 2.7, "frame must be an integer, got 2.7"),
+    ("frame", 3.0, "frame must be an integer, got 3.0"),
+    ("fps", True, "fps must be a number, got True"),
+    ("fps", "20", "fps must be a number, got '20'"),
+])
+def test_read_scene_integer_and_number_fields_take_only_those_json_types(
+        tmp_path, field, value, problem):
+    scene = _scene()
+    owner = {"fps": scene["metadata"], "frame": scene["actors"][0]["samples"][0]}
+    owner.get(field, scene["actors"][0])[field] = value
+    path = _scene_file(tmp_path, scene)
+    with pytest.raises(ParseError) as info:
+        read_scene(path)
+    assert str(info.value) == f"{path}: missing or malformed field ({problem})"
+
+
 @pytest.mark.parametrize("actors", [{}, 5, "actors"])
 def test_read_scene_actors_that_are_not_a_list_name_file(tmp_path, actors):
     with pytest.raises(ParseError, match=r"scene.json: .*actors must be a list"):
@@ -764,11 +784,23 @@ def parallel_walk(tmp_path_factory):
     ("lifting", "min_thickness", math.nan,
      "LiftingConfig: min_thickness must be finite and > 0"),
     ("lifting", "patch", 4, "LiftingConfig: patch must be an odd int >= 1, got 4"),
+    # A JSON bool or a numeric string is not a number.
+    ("camera", "fx", True, "CameraModel: fx must be a number, got True"),
+    ("camera", "cy", False, "CameraModel: cy must be a number, got False"),
+    ("camera", "world_scale", True, "CameraModel: world_scale must be a number, got True"),
+    (None, "fps", "20", "EngineConfig: fps must be a number, got '20'"),
+    (None, "fps", True, "EngineConfig: fps must be a number, got True"),
+    ("lifting", "min_thickness", True, "LiftingConfig: min_thickness must be a number, got True"),
+    ("lifting", "depth_percentile", False,
+     "LiftingConfig: depth_percentile must be a number, got False"),
+    ("tracker", "iou_gate", True, "TrackerConfig: iou_gate must be a number, got True"),
+    ("tracker", "min_track_score", False,
+     "TrackerConfig: min_track_score must be a number, got False"),
 ])
 def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
         parallel_walk, tmp_path, capsys, section, field, value, message):
     config = json.loads((parallel_walk / "config.json").read_text())
-    config.setdefault(section, {})[field] = value
+    (config.setdefault(section, {}) if section else config)[field] = value
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     capsys.readouterr()
@@ -793,4 +825,23 @@ def test_track_cli_on_a_config_integer_past_the_float_range_exits_1(
             "--out", str(tmp_path / "tracks.jsonl")]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {config_path}: int too large to convert to float\n"
+    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+def test_track_cli_names_the_detections_line_whose_frame_has_no_raster(
+        parallel_walk, tmp_path, capsys):
+    far = 10 ** 30
+    lines = (parallel_walk / "detections.jsonl").read_text().splitlines()
+    for index in (4, 7):  # lines 5 and 8: the first one is named
+        record = json.loads(lines[index])
+        record["frame"] = far
+        lines[index] = json.dumps(record)
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["track", "--detections", str(detections), "--depth-dir", str(parallel_walk / "depth"),
+            "--config", str(parallel_walk / "config.json"), "--out", str(tmp_path / "tracks.jsonl")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {detections}: line 5: frame {far}: missing depth "
+                                       f"raster {parallel_walk / 'depth' / f'{far}.dpt'}\n")
     assert not (tmp_path / "tracks.jsonl").exists()

@@ -229,15 +229,20 @@ def test_bundle_writes_all_artifacts(tmp_path):
 
 
 # sha256 over each bundle file's path (relative, "/"-separated) and the
-# sha256 of its bytes, in path order.  Both scenarios draw keypoint and depth
-# noise, and three_person_mix has a dropout, so these pin the order in which
-# a frame's keypoint draws and its depth draw take the random stream.
+# sha256 of its bytes, in path order.  The first two scenarios draw keypoint
+# and depth noise, and three_person_mix has a dropout, so these pin the order
+# in which a frame's keypoint draws and its depth draw take the random
+# stream; the last two draw only one kind of noise each.
 @pytest.mark.parametrize("sc, digest", [
     (builtin("three_person_mix", seed=5, depth_noise=0.02, keypoint_noise=0.5),
      "34e6e06420292b064b33974aee7c36ad1bf2d2603ff616d19ea3349c404233bd"),
     (builtin("depth_cross", seed=3, depth_noise=0.05, keypoint_noise=1.0),
      "e2fac7d7cfad6d3e26972b94a0d3f712c68370218f971d0855af70983e3dd956"),
-], ids=["three_person_mix", "depth_cross"])
+    (builtin("three_person_mix", seed=11, keypoint_noise=0.7),
+     "371ffa14c1bd28cf97b8175130df8dc87ec49d6dd0fcac283a98618ee0d9c319"),
+    (builtin("full_occlusion", seed=2, depth_noise=0.03),
+     "0db468180baa0ee28b1811b9812223148ec0f981907a0124185bc98afcdb20a8"),
+], ids=["three_person_mix", "depth_cross", "keypoint_noise_only", "depth_noise_only"])
 def test_noisy_bundles_keep_their_bytes(tmp_path, sc, digest):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a draw taken out of turn would show
@@ -252,6 +257,28 @@ def test_noisy_bundles_keep_their_bytes(tmp_path, sc, digest):
         h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0"
                  + hashlib.sha256(p.read_bytes()).digest())
     assert h.hexdigest() == digest
+
+
+def test_one_worker_thread_makes_every_draw_in_the_serial_order(monkeypatch):
+    draws = []  # (thread id, size) per draw, in call order
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def normal(self, loc=0.0, scale=1.0, size=None):
+            draws.append((threading.get_ident(), tuple(size)))
+            return self.rng.normal(loc, scale, size)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Recording(default_rng(seed)))
+    sc = builtin("three_person_mix", seed=5, depth_noise=0.02, keypoint_noise=0.5)
+    seq, _ = generate(sc)
+    threads = {thread for thread, _ in draws}
+    assert len(threads) == 1 and threading.get_ident() not in threads
+    assert [size for _, size in draws] == [
+        size for frame in seq.frames
+        for size in [(15, 2)] * len(frame.detections) + [(sc.height, sc.width)]]
 
 
 def test_generate_leaves_no_worker_thread_behind():
