@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import PoseTrackError
-from .ingest import load_config, load_sequence
+from .ingest import BASIC15, load_config, load_sequence
 from .export import export_scene, write_scene
 from .jsonio import encode
 from .metrics import auc_rel, ground_truth_from_tracks, matched_pose_pairs, mota, pck3d_rel
@@ -40,7 +40,7 @@ def cmd_track(ns: argparse.Namespace) -> int:
 def cmd_eval(ns: argparse.Namespace) -> int:
     _, pred_tracks = read_tracks(ns.tracks)
     gt_header, gt_tracks = read_tracks(ns.gt)
-    gt = ground_truth_from_tracks(gt_tracks, skeleton_id=gt_header.get("skeleton", "basic15"))
+    gt = ground_truth_from_tracks(gt_tracks, skeleton_id=gt_header.get("skeleton", BASIC15.name))
     if ns.metric == "mota":
         report = mota(gt, pred_tracks, radius=ns.radius).to_dict()
     else:
@@ -84,7 +84,7 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 def cmd_export(ns: argparse.Namespace) -> int:
     header, tracks = read_tracks(ns.tracks)
     fps = ns.fps if ns.fps is not None else float(header.get("fps", 30.0))
-    doc = export_scene(tracks, fps=fps, skeleton_id=header.get("skeleton", "basic15"))
+    doc = export_scene(tracks, fps=fps, skeleton_id=header.get("skeleton", BASIC15.name))
     write_scene(ns.out, doc)
     samples = sum(len(a.samples) for a in doc.actors)
     print(f"actors={len(doc.actors)} samples={samples} out={ns.out}")

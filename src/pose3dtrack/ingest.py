@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -87,6 +88,19 @@ def get_skeleton(skeleton_id: str) -> Skeleton:
 # Core value types
 # ---------------------------------------------------------------------------
 
+def check_numbers(obj, to_float: bool = False) -> None:
+    """Each ``float`` field of dataclass ``obj`` must hold a real number (a NumPy
+    scalar, not a bool or a string); ``to_float`` then stores it as a float."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float":  # annotations are postponed (strings) here and in synth
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                name = type(obj).__name__
+                raise ValidationError(f"{name}: {f.name} must be a number, got {value!r}")
+            if to_float:
+                object.__setattr__(obj, f.name, float(value))
+
+
 def _unchecked(cls, *values):
     """A ``cls`` dataclass holding ``values`` in field order, built without
     ``__post_init__``: only for values a check over their whole batch passed."""
@@ -107,6 +121,7 @@ class CameraModel:
     world_scale: float = 1.0
 
     def __post_init__(self):
+        check_numbers(self)
         if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
             raise ValidationError("CameraModel: fx, fy, cx and cy must be finite")
         if not (self.fx > 0 and self.fy > 0):
@@ -648,6 +663,7 @@ class LiftingConfig:
     patch: int = 5  # the pose lifter's window size (``pose3d.lift_poses``)
 
     def __post_init__(self):
+        check_numbers(self)
         if not (math.isfinite(self.min_thickness) and self.min_thickness > 0.0):
             raise ValidationError("LiftingConfig: min_thickness must be finite and > 0")
         if not (0.0 <= self.depth_percentile < 50.0):
@@ -664,6 +680,7 @@ class TrackerConfig:
     min_track_score: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self)
         if not (0.0 <= self.iou_gate <= 1.0):
             raise ValidationError("TrackerConfig: iou_gate outside [0, 1]")
         # type() rather than isinstance(): a bool (JSON true) is not a count.
@@ -688,51 +705,31 @@ class EngineConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
     def __post_init__(self):
+        check_numbers(self, to_float=True)
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValidationError("EngineConfig: fps must be finite and > 0")
-
-
-_SECTIONS = ("camera", "fps", "skeleton", "lifting", "tracker")
-# The float fields, which must hold JSON numbers: a bool or a numeric
-# string is not one.  (section, its class, fields); section None is the top.
-_NUMBER_FIELDS = (
-    (None, "EngineConfig", ("fps",)),
-    ("camera", "CameraModel", ("fx", "fy", "cx", "cy", "world_scale")),
-    ("lifting", "LiftingConfig", ("min_thickness", "depth_percentile")),
-    ("tracker", "TrackerConfig", ("iou_gate", "min_track_score")),
-)
 
 
 def config_from_dict(obj: dict) -> EngineConfig:
     if "camera" not in obj:
         raise ValidationError("config: missing required 'camera' section")
-    for name, owner, fields in _NUMBER_FIELDS:
-        section = obj if name is None else obj.get(name, {})
-        for key in fields if isinstance(section, dict) else ():
-            value = section.get(key, 0.0)
-            if type(value) not in (int, float):
-                raise ValidationError(f"{owner}: {key} must be a number, got {value!r}")
     cfg = EngineConfig(
         camera=CameraModel(**obj["camera"]),
-        fps=float(obj.get("fps", 30.0)),
+        fps=obj.get("fps", 30.0),
         skeleton_id=obj.get("skeleton", BASIC15.name),
         lifting=LiftingConfig(**obj.get("lifting", {})),
         tracker=TrackerConfig(**obj.get("tracker", {})),
     )
-    unknown = [name for name in obj if name not in _SECTIONS]
+    sections = config_to_dict(cfg)
+    unknown = [name for name in obj if name not in sections]
     if unknown:
         raise ValidationError(f"config: unknown section {unknown[0]!r}")
     return cfg
 
 
 def config_to_dict(cfg: EngineConfig) -> dict:
-    return {
-        "camera": asdict(cfg.camera),
-        "fps": cfg.fps,
-        "skeleton": cfg.skeleton_id,
-        "lifting": asdict(cfg.lifting),
-        "tracker": asdict(cfg.tracker),
-    }
+    return {"skeleton" if name == "skeleton_id" else name: value
+            for name, value in asdict(cfg).items()}
 
 
 def load_config(path: str | Path) -> EngineConfig:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import EvaluationError
-from .ingest import get_skeleton
+from .ingest import BASIC15, get_skeleton
 from .pose3d import Pose3D
 from .tracking import Track, canonical_matching
 
@@ -30,7 +30,7 @@ class GroundTruth:
     """Per-frame ground-truth poses keyed by frame index."""
 
     frames: dict[int, list[tuple[int, Pose3D]]]
-    skeleton_id: str = "basic15"
+    skeleton_id: str = BASIC15.name
 
     def __post_init__(self):
         for frame, entries in self.frames.items():
@@ -62,7 +62,7 @@ def _poses_by_frame(tracks: list[Track]) -> dict[int, list[tuple[int, Pose3D]]]:
     return frames
 
 
-def ground_truth_from_tracks(tracks: list[Track], skeleton_id: str = "basic15") -> GroundTruth:
+def ground_truth_from_tracks(tracks: list[Track], skeleton_id: str = BASIC15.name) -> GroundTruth:
     """Reinterpret track records as ground truth ("id" becomes gt_id)."""
     return GroundTruth(frames=_poses_by_frame(tracks), skeleton_id=skeleton_id)
 

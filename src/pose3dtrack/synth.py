@@ -38,6 +38,7 @@ from .ingest import (
     FrameInput,
     Keypoints2D,
     SequenceInput,
+    check_numbers,
     encode_mask,
     write_config,
     write_depth,
@@ -119,6 +120,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, to_float=True)
         if type(self.frames) is not int:
             raise ScenarioError(f"scenario frames must be an int, got {self.frames!r}")
         if self.frames <= 0:
@@ -431,26 +433,35 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def _numbers(values, person: int, what: str) -> tuple[float, ...]:
+    """``values`` as floats; each must be a JSON number (not a bool or a
+    string), else an error naming person ``person``'s ``what``."""
+    if not all(type(v) in (int, float) for v in values):
+        raise ScenarioError(f"person {person} {what} must be numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
     try:
         persons = tuple(
             PersonSpec(
-                waypoints=tuple((f, tuple(float(c) for c in pt)) for f, pt in p["waypoints"]),
-                extent=tuple(float(c) for c in p["extent"]),
+                waypoints=tuple((f, _numbers(pt, i, "waypoint coordinates"))
+                                for f, pt in p["waypoints"]),
+                extent=_numbers(p["extent"], i, "extent values"),
             )
-            for p in obj["persons"]
+            for i, p in enumerate(obj["persons"])
         )
         return Scenario(
             name=obj.get("name", "custom"),
             persons=persons,
             frames=obj["frames"],
-            fps=float(obj.get("fps", 20.0)),
+            fps=obj.get("fps", 20.0),
             camera=CameraModel(**obj["camera"]),
             width=obj["width"],
             height=obj["height"],
             dropouts=tuple(map(tuple, obj.get("dropouts", ()))),
-            depth_noise=float(obj.get("depth_noise", 0.0)),
-            keypoint_noise=float(obj.get("keypoint_noise", 0.0)),
+            depth_noise=obj.get("depth_noise", 0.0),
+            keypoint_noise=obj.get("keypoint_noise", 0.0),
             seed=obj.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:

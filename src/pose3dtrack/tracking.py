@@ -26,6 +26,7 @@ from . import __version__, geometry, pose3d
 from .errors import ParseError, PoseTrackError, SequencingError, ValidationError
 from .geometry import Box3D, iou2d_matrix, iou3d_matrix, lift_box
 from .ingest import (
+    BASIC15,
     Box2D,
     Detection,
     LiftingConfig,
@@ -40,6 +41,7 @@ from .pose3d import Pose3D
 
 OBSERVED = "obs"
 PREDICTED = "pred"
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -511,8 +513,14 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                     header = obj["header"]
                     if not isinstance(header, dict):
                         raise ParseError(f"{path}: header is not a JSON object", line=lineno)
+                    # A number a float holds; finite and > 0 is the exporter's
+                    # check, as its --fps flag may stand in for the header's.
+                    fps = header.get("fps", 0.0)
+                    if not (type(fps) is float or type(fps) is int and abs(fps) <= _FLOAT_MAX):
+                        raise ParseError(f"{path}: header fps must be a number, got {fps!r}",
+                                         line=lineno)
                     continue
-                skeleton_id = header.get("skeleton", "basic15")
+                skeleton_id = header.get("skeleton", BASIC15.name)
                 skel = get_skeleton(skeleton_id)
                 track = Track(track_id=json_int(obj["id"], "id", path, lineno),
                               birth_frame=json_int(obj["birth"], "birth", path, lineno))

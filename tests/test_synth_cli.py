@@ -99,6 +99,20 @@ def one_person(**change):
     ({"dropouts": [[0, 0.5, 2]]}, "dropout values must be ints, got (0, 0.5, 2)"),
     (one_person(waypoints=[[0.7, [0.0, 0.0, 3.0]]]),
      "person 0 waypoint frame must be an int, got 0.7"),
+    # A JSON bool or a numeric string is not a number.
+    ({"fps": "20"}, "Scenario: fps must be a number, got '20'"),
+    ({"depth_noise": True}, "Scenario: depth_noise must be a number, got True"),
+    ({"keypoint_noise": "0.5"}, "Scenario: keypoint_noise must be a number, got '0.5'"),
+    ({"camera": {"fx": True, "fy": 60.0, "cx": 32.0, "cy": 24.0}},
+     "CameraModel: fx must be a number, got True"),
+    (one_person(extent=["0.5", True, 0.2]),
+     "person 0 extent values must be numbers, got ['0.5', True, 0.2]"),
+    (one_person(extent="abc"), "person 0 extent values must be numbers, got 'abc'"),
+    (one_person(waypoints=[[0, [0.0, 0.0, 3.0]], [2, ["1", 0.0, 3.0]]]),
+     "person 0 waypoint coordinates must be numbers, got ['1', 0.0, 3.0]"),
+    ({"persons": [*one_person()["persons"],
+                  *one_person(waypoints=[[0, [0.0, False, 3.0]]])["persons"]]},
+     "person 1 waypoint coordinates must be numbers, got [0.0, False, 3.0]"),
 ])
 def test_an_invalid_scenario_file_exits_1_before_writing_a_file(tmp_path, capsys, change, text):
     path = tmp_path / "scenario.json"
