@@ -68,7 +68,7 @@ def cmd_synth(ns: argparse.Namespace) -> int:
         sc = load_scenario(path)
         if ns.seed is not None:
             sc = replace(sc, seed=ns.seed)
-        if ns.noise > 0.0:
+        if ns.noise != 0.0:  # 0, the default, keeps the file's own noise
             sc = replace(sc, depth_noise=ns.noise)
     try:
         paths = write_scenario_bundle(sc, ns.out_dir)

@@ -649,11 +649,16 @@ def load_sequence(
 # Engine configuration
 # ---------------------------------------------------------------------------
 
+MAX_PATCH = 101  # the lifter gathers patch**2 depths per live joint
+
+
 def check_patch(patch: int, prefix: str = "") -> None:
-    """A pose-lifting window size must be an odd int >= 1; a bool is not an int.
-    ``prefix`` leads the error message."""
+    """A pose-lifting window size must be an odd int >= 1 and at most
+    ``MAX_PATCH``; a bool is not an int.  ``prefix`` leads the error message."""
     if type(patch) is not int or patch < 1 or patch % 2 == 0:
         raise ValidationError(f"{prefix}patch must be an odd int >= 1, got {patch!r}")
+    if patch > MAX_PATCH:
+        raise ValidationError(f"{prefix}patch must be at most {MAX_PATCH}, got {patch}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ input pixels.  :func:`lift_poses` lifts a whole frame's detections in one
 pass from their depth spans (the only state it shares with
 :func:`~pose3dtrack.geometry.lift_box`), reading the windows straight from
 the frame's depth raster and the masks' runs.  :func:`lift_pose` lifts one
-detection as ``run_sequence`` does: span first, then the frame kernel.
+detection as ``tracking.lift_frame`` does: span first, then the frame kernel.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def lift_pose(
     patch: int = 5,
     percentile: float = 0.0,
 ) -> Pose3D:
-    """Lift one detection's 2D keypoints as ``run_sequence`` does: measure
-    its depth span with :func:`~pose3dtrack.geometry.depth_extrema`, then
-    run :func:`lift_poses` on it alone, so the span's faults come first."""
+    """Lift one detection's 2D keypoints as ``tracking.lift_frame`` does:
+    measure its depth span with :func:`~pose3dtrack.geometry.depth_extrema`,
+    then run :func:`lift_poses` on it alone, so the span's faults come first."""
     extrema = depth_extrema(depth, det.mask, det.box, percentile=percentile)
     return lift_poses([det], depth, cam, patch, [extrema])[0]

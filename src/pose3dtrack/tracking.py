@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from dataclasses import asdict, dataclass, field
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-# run_sequence calls depth_extrema and the frame kernel lift_poses through
+# lift_frame calls depth_extrema and the frame kernel lift_poses through
 # their modules, where per-layer tracing patches them.
 from . import __version__, geometry, pose3d
 from .errors import ParseError, PoseTrackError, SequencingError, ValidationError
@@ -28,6 +28,8 @@ from .geometry import Box3D, iou2d_matrix, iou3d_matrix, lift_box
 from .ingest import (
     BASIC15,
     Box2D,
+    CameraModel,
+    DepthMap,
     Detection,
     LiftingConfig,
     SequenceInput,
@@ -380,16 +382,36 @@ class Tracker:
         return self.tracks
 
 
+def lift_frame(
+    dets: Sequence[Detection],
+    depth: DepthMap,
+    cam: CameraModel,
+    lifting: LiftingConfig,
+) -> list[tuple[Detection, Box3D, Pose3D]]:
+    """Lift one frame's detections into the items :meth:`Tracker.step` takes.
+
+    Each person's depth span is measured once and shared by the box lift
+    and the frame's one pose-lifting pass.  Each detection's span, box and
+    root are taken in input order before the next one's, so a frame's
+    first unliftable detection, in input order, is the one reported.
+    """
+    spans, boxes = [], []
+    for det in dets:
+        extrema = geometry.depth_extrema(depth, det.mask, det.box, lifting.depth_percentile)
+        boxes.append(lift_box(det.box, extrema, cam, lifting.min_thickness))
+        pose3d.require_root(det)
+        spans.append(extrema)
+    poses = pose3d.lift_poses(dets, depth, cam, lifting.patch, spans)
+    return list(zip(dets, boxes, poses))
+
+
 def run_sequence(
     seq: SequenceInput,
     cfg: TrackerConfig,
     lifting: LiftingConfig | None = None,
 ) -> list[Track]:
-    """Lift every detection and fold the tracker over the sequence.
-
-    The person's depth span is measured once per detection and shared by
-    the box lift and the frame's one pose-lifting pass.  A frame's first
-    unliftable detection, in input order, is the one reported.
+    """Lift each frame with :func:`lift_frame` and fold the tracker over
+    the sequence.
 
     One worker loads the next frame's raster while this frame is lifted,
     so at most two rasters are alive.  Loads are taken in frame order, so a
@@ -397,7 +419,6 @@ def run_sequence(
     faults; a load made ahead of an earlier fault is discarded.
     """
     lifting = lifting or LiftingConfig()
-    percentile, patch = lifting.depth_percentile, lifting.patch
     tracker = Tracker(cfg)
     frames = seq.frames
     with ThreadPoolExecutor(max_workers=1) as loader:  # leaving the block joins it
@@ -406,16 +427,9 @@ def run_sequence(
             try:
                 depth = ahead.result()
                 ahead = loader.submit(frames[i + 1].load) if i + 1 < len(frames) else None
-                dets = frame.detections
-                spans, boxes = [], []
-                for det in dets:
-                    extrema = geometry.depth_extrema(depth, det.mask, det.box, percentile)
-                    boxes.append(lift_box(det.box, extrema, seq.camera, lifting.min_thickness))
-                    pose3d.require_root(det)
-                    spans.append(extrema)
-                poses = pose3d.lift_poses(dets, depth, seq.camera, patch, spans)
+                items = lift_frame(frame.detections, depth, seq.camera, lifting)
                 del depth  # its future is gone too: only the next raster stays alive
-                tracker.step(frame.frame_index, list(zip(dets, boxes, poses)))
+                tracker.step(frame.frame_index, items)
             except PoseTrackError as e:
                 raise type(e)(f"frame {frame.frame_index}: {e}") from e
     return tracker.finalize()

@@ -766,9 +766,16 @@ def test_lifting_config_checks_its_patch_when_built(patch):
     assert str(info.value) == f"LiftingConfig: patch must be an odd int >= 1, got {patch!r}"
 
 
-@pytest.mark.parametrize("patch", [1, 3, 7])
+@pytest.mark.parametrize("patch", [1, 3, 7, 101])
 def test_lifting_config_accepts_odd_int_patches(patch):
     assert LiftingConfig(patch=patch).patch == patch
+
+
+@pytest.mark.parametrize("patch", [103, 4001])
+def test_lifting_config_rejects_a_patch_over_its_maximum(patch):
+    with pytest.raises(ValidationError) as info:
+        LiftingConfig(patch=patch)
+    assert str(info.value) == f"LiftingConfig: patch must be at most 101, got {patch}"
 
 
 @pytest.fixture(scope="module")
@@ -784,6 +791,7 @@ def parallel_walk(tmp_path_factory):
     ("lifting", "min_thickness", math.nan,
      "LiftingConfig: min_thickness must be finite and > 0"),
     ("lifting", "patch", 4, "LiftingConfig: patch must be an odd int >= 1, got 4"),
+    ("lifting", "patch", 4001, "LiftingConfig: patch must be at most 101, got 4001"),
     # A JSON bool or a numeric string is not a number.
     ("camera", "fx", True, "CameraModel: fx must be a number, got True"),
     ("camera", "cy", False, "CameraModel: cy must be a number, got False"),

@@ -110,6 +110,13 @@ def test_patch_must_be_an_odd_int_for_both_lifting_calls(patch):
         lift_poses([det], depth, cam, patch, [(2.0, 2.0)])
 
 
+def test_frame_kernel_rejects_a_patch_over_its_maximum():
+    det = detection_with_joints(centered_joints(8.0, 8.0))
+    cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
+    with pytest.raises(ValidationError, match="^patch must be at most 101, got 4001$"):
+        lift_poses([det], constant_depth(20, 20, 2.0), cam, 4001, [(2.0, 2.0)])
+
+
 def test_frame_kernel_rejects_a_mask_laid_out_on_another_frame():
     # A 20x20 mask on a 40x10 raster has as many pixels, so only the size
     # check tells that its runs would be read through the wrong width.

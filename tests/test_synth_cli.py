@@ -132,6 +132,19 @@ def test_a_negative_seed_flag_exits_1_before_writing_a_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan"])
+def test_a_bad_noise_flag_on_a_scenario_file_exits_1_before_writing_a_file(
+        tmp_path, capsys, noise):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(minimal_scenario()))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_main(["synth", "--scenario", str(path), "--noise", noise,
+                     "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: scenario noise must be finite and >= 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change, text", [
     ({"frames": 12, **one_person(waypoints=[[0, [0.0, 0.0, 3.0]], [10, [0.0, 0.0, -1.0]]])},
      "person 0 behind camera at frame 8"),

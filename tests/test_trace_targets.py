@@ -59,6 +59,7 @@ def test_run_sequence_calls_through_the_patched_names(tmp_path, monkeypatch):
     counting(ingest, "load_depth")  # called on the loader's worker thread
     counting(pose3d, "lift_poses")
     counting(geometry, "depth_extrema")
+    counting(tracking, "lift_box")
     counting(tracking, "predict")
     for attr in ("associate", "assign_by_iou", "iou3d_matrix"):
         counting(tracking, attr)
@@ -68,5 +69,5 @@ def test_run_sequence_calls_through_the_patched_names(tmp_path, monkeypatch):
     assert detections > 0 and predicted > 0
     frames = len(seq.frames)
     assert calls == {"load_depth": frames, "lift_poses": frames, "depth_extrema": detections,
-                     "predict": predicted, "associate": frames, "assign_by_iou": frames,
-                     "iou3d_matrix": frames}
+                     "lift_box": detections, "predict": predicted, "associate": frames,
+                     "assign_by_iou": frames, "iou3d_matrix": frames}
