@@ -17,16 +17,18 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .ingest import get_skeleton
+from .ingest import get_skeleton, values_equal, values_hash
 from .jsonio import encode, read_json
 from .tracking import OBSERVED, PREDICTED, Track
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActorSample:
     frame: int
     state: str  # "observed" | "predicted"
     joints: np.ndarray  # (J, 3) float64
+
+    __eq__, __hash__ = values_equal, values_hash
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _string(value, name: str) -> str:
+    """``value`` if it is a JSON string, else a TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _sample_from_dict(actor_id: int, s: dict, joint_count: int) -> ActorSample:
     frame = _integer(s["frame"], "frame")
     if s["state"] not in _STATE_NAMES.values():
@@ -96,6 +105,8 @@ def _sample_from_dict(actor_id: int, s: dict, joint_count: int) -> ActorSample:
     if joints.shape != (joint_count, 3):
         raise ValidationError(f"actor {actor_id} frame {frame}: joints must have shape "
                               f"({joint_count}, 3), got {joints.shape}")
+    if not np.isfinite(joints).all():
+        raise ValidationError(f"actor {actor_id} frame {frame}: non-finite joint value")
     return ActorSample(frame=frame, state=s["state"], joints=joints)
 
 
@@ -117,8 +128,8 @@ def scene_from_dict(obj: dict) -> SceneDocument:
     return SceneDocument(
         fps=_checked_fps(float(meta["fps"])),
         skeleton_id=meta["skeleton"],
-        engine_version=meta["engine_version"],
-        units=meta.get("units", "meters"),
+        engine_version=_string(meta["engine_version"], "engine_version"),
+        units=_string(meta.get("units", "meters"), "units"),
         actors=tuple(actors),
     )
 
@@ -151,9 +162,9 @@ def write_scene(path: str | Path, doc: SceneDocument) -> None:
 def read_scene(path: str | Path) -> SceneDocument:
     """Read a scene document; invalid JSON, a missing field and a
     mistyped one are a ParseError naming the file.  An fps that is not
-    finite and > 0, an unknown skeleton and joints not shaped (skeleton
-    joint count, 3) are a ValidationError naming the file (and the actor
-    and frame)."""
+    finite and > 0, an unknown skeleton, and joints not finite or not shaped
+    (skeleton joint count, 3) are a ValidationError naming the file (and
+    the actor and frame)."""
     path = Path(path)
     obj = read_json(path)
     try:

@@ -78,6 +78,10 @@ def register_skeleton(skeleton: Skeleton) -> None:
 
 
 def get_skeleton(skeleton_id: str) -> Skeleton:
+    """The registered skeleton named ``skeleton_id``; a ValidationError when
+    that is not a string or names no registered skeleton."""
+    if not isinstance(skeleton_id, str):
+        raise ValidationError(f"skeleton_id must be a string, got {skeleton_id!r}")
     try:
         return _SKELETONS[skeleton_id]
     except KeyError:
@@ -108,6 +112,21 @@ def _unchecked(cls, *values):
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
     return obj
+
+
+def values_equal(self, other):
+    """``__eq__`` of every dataclass with a field annotated ``np.ndarray``, which
+    sets ``eq=False``: arrays compare by ``np.array_equal``, other fields by
+    ``==``, and another type is NotImplemented."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((f.type, getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if kind == "np.ndarray" else a == b for kind, a, b in pairs)
+
+
+def values_hash(self):
+    """``__hash__`` to match ``values_equal``: over the fields that are not arrays."""
+    return hash(tuple(getattr(self, f.name) for f in fields(self) if f.type != "np.ndarray"))
 
 
 @dataclass(frozen=True)
@@ -211,6 +230,8 @@ class Mask2D:
     height: int
     runs: np.ndarray  # (n, 2) int64
 
+    __eq__, __hash__ = values_equal, values_hash
+
     def __post_init__(self):
         total = _mask_pixels(self.width, self.height)
         runs = np.array(self.runs, dtype=np.int64)
@@ -235,15 +256,6 @@ class Mask2D:
                     f"Mask2D: run ({start}, {length}) exceeds {self.width}x{self.height}"
                 )
             prev_end = start + length
-
-    def __eq__(self, other):
-        if not isinstance(other, Mask2D):
-            return NotImplemented
-        return ((self.width, self.height) == (other.width, other.height)
-                and np.array_equal(self.runs, other.runs))
-
-    def __hash__(self):  # equal masks have equal sizes
-        return hash((self.width, self.height))
 
 
 def mask_indices(mask: Mask2D) -> np.ndarray:
@@ -280,6 +292,8 @@ class Keypoints2D:
     joints: np.ndarray  # (J, 3) float64
     skeleton_id: str = BASIC15.name
 
+    __eq__, __hash__ = values_equal, values_hash
+
     def __post_init__(self):
         arr = np.asarray(self.joints, dtype=np.float64)
         object.__setattr__(self, "joints", arr)
@@ -294,14 +308,6 @@ class Keypoints2D:
         conf = arr[:, 2]
         if np.any(conf < 0.0) or np.any(conf > 1.0):
             raise ValidationError("Keypoints2D: confidence outside [0, 1]")
-
-    def __eq__(self, other):
-        if not isinstance(other, Keypoints2D):
-            return NotImplemented
-        return self.skeleton_id == other.skeleton_id and np.array_equal(self.joints, other.joints)
-
-    def __hash__(self):  # equal keypoints have equal skeletons
-        return hash(self.skeleton_id)
 
 
 @dataclass(frozen=True)
@@ -343,13 +349,15 @@ def _box_overlaps_mask(box: Box2D, mask: Mask2D) -> bool:
 _FLOAT32_INF_BITS = 0x7F800000  # the bits of float32 +inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthMap:
     """Per-pixel metric depth; 0.0 encodes an invalid pixel."""
 
     width: int
     height: int
     values: np.ndarray  # (height, width) float32
+
+    __eq__, __hash__ = values_equal, values_hash
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float32)
@@ -713,6 +721,7 @@ class EngineConfig:
         check_numbers(self, to_float=True)
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValidationError("EngineConfig: fps must be finite and > 0")
+        get_skeleton(self.skeleton_id)
 
 
 def config_from_dict(obj: dict) -> EngineConfig:

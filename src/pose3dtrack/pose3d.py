@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import EmptySupportError, ValidationError
 from .geometry import check_mask_frame, depth_extrema
-from .ingest import CameraModel, Detection, DepthMap, Skeleton, check_patch, get_skeleton
+from .ingest import (CameraModel, Detection, DepthMap, Skeleton, check_patch, get_skeleton,
+                     values_equal, values_hash)
 
 # Unused here; kept so per-layer tracing can still patch this name on pose3d.
 from .ingest import mask_indices  # noqa: F401
@@ -32,6 +33,8 @@ class Pose3D:
     joints: np.ndarray  # (J, 4) float64
     root_index: int
     skeleton_id: str
+
+    __eq__, __hash__ = values_equal, values_hash
 
     def __post_init__(self):
         arr = np.asarray(self.joints, dtype=np.float64)
@@ -46,15 +49,6 @@ class Pose3D:
             raise ValidationError("Pose3D: non-finite joint value")
         if not (0 <= self.root_index < skel.joint_count):
             raise ValidationError(f"Pose3D: root_index {self.root_index} out of range")
-
-    def __eq__(self, other):
-        if not isinstance(other, Pose3D):
-            return NotImplemented
-        return ((self.root_index, self.skeleton_id) == (other.root_index, other.skeleton_id)
-                and np.array_equal(self.joints, other.joints))
-
-    def __hash__(self):  # equal poses have equal roots and skeletons
-        return hash((self.root_index, self.skeleton_id))
 
     @property
     def root(self) -> np.ndarray:

@@ -190,17 +190,19 @@ def _render_person(
     into (depth, owner) by ray entry; return the inclusive pixel block
     (r0, r1, c0, c1) it was drawn in, or None when it is outside the frame."""
     height, width = depth.shape
-    c0 = max(int(np.ceil(corners_u.min())), 0)
-    c1 = min(int(np.floor(corners_u.max())), width - 1)
-    r0 = max(int(np.ceil(corners_v.min())), 0)
-    r1 = min(int(np.floor(corners_v.max())), height - 1)
+    # Clamped while float, one past the frame at most, so a corner projected
+    # to +-inf cannot reach int().
+    c0 = int(min(max(np.ceil(corners_u.min()), 0.0), width))
+    c1 = int(min(max(np.floor(corners_u.max()), -1.0), width - 1))
+    r0 = int(min(max(np.ceil(corners_v.min()), 0.0), height))
+    r1 = int(min(max(np.floor(corners_v.max()), -1.0), height - 1))
     if c0 > c1 or r0 > r1:
         return None
     dx = (np.arange(c0, c1 + 1, dtype=np.float64) - cam.cx) / cam.fx
     dy = (np.arange(r0, r1 + 1, dtype=np.float64) - cam.cy) / cam.fy
 
     def slabs(d, lo, hi):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t_lo = np.where(d > 0, lo / d, np.where(d < 0, hi / d, -np.inf))
             t_hi = np.where(d > 0, hi / d, np.where(d < 0, lo / d, np.inf))
         on_axis_miss = (d == 0) & ~((lo <= 0.0) & (0.0 <= hi))
@@ -223,8 +225,10 @@ def _render_person(
 
 
 def _project(cam: CameraModel, x, y, z) -> tuple[np.ndarray, np.ndarray]:
-    """Pinhole pixel coordinates (u, v) of camera-frame points."""
-    return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
+    """Pinhole pixel coordinates (u, v) of camera-frame points; +-inf past
+    the float range."""
+    with np.errstate(over="ignore"):
+        return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
 
 
 def _project_corners(box: Box3D, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:

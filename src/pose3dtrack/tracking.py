@@ -505,7 +505,9 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     Each track's states are read as two arrays; a track with a bad state is
     read again state by state, so the error names the first bad state's
     fault.  The poses of one track are rows of one joint array.  Track ids,
-    births and state frames must be JSON integers.
+    births and state frames must be JSON integers.  The header's skeleton
+    (``basic15`` without a header, or a header without one) is checked once,
+    on the header line.
 
     The cyclic garbage collector is paused for the whole read: the decoded
     lines and the ``TrackState``, ``Box3D`` and ``Pose3D`` objects built
@@ -517,6 +519,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     """
     path = Path(path)
     header: dict = {}
+    skel = BASIC15
     tracks: list[Track] = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -533,9 +536,8 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                     if not (type(fps) is float or type(fps) is int and abs(fps) <= _FLOAT_MAX):
                         raise ParseError(f"{path}: header fps must be a number, got {fps!r}",
                                          line=lineno)
+                    skel = get_skeleton(header.get("skeleton", BASIC15.name))
                     continue
-                skeleton_id = header.get("skeleton", BASIC15.name)
-                skel = get_skeleton(skeleton_id)
                 track = Track(track_id=json_int(obj["id"], "id", path, lineno),
                               birth_frame=json_int(obj["birth"], "birth", path, lineno))
                 states = _states_from_arrays(obj["states"], skel)
@@ -549,7 +551,7 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                             frame_index=json_int(s["frame"], "frame", path, lineno),
                             kind=s["kind"],
                             box3d=Box3D.from_array(s["box3d"]),
-                            pose3d=Pose3D(s["pose3d"], skel.root_index, skeleton_id),
+                            pose3d=Pose3D(s["pose3d"], skel.root_index, skel.name),
                         ))
                 track.states = states
             except (KeyError, TypeError, ValueError, OverflowError) as e:

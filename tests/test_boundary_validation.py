@@ -283,6 +283,22 @@ def test_read_tracks_header_that_is_not_an_object_names_file_and_line(tmp_path, 
         read_tracks(path)
 
 
+@pytest.mark.parametrize("skeleton, problem", [
+    (["x"], "skeleton_id must be a string, got ['x']"),
+    ("nope", "unknown skeleton_id 'nope'"),
+])
+@pytest.mark.parametrize("with_tracks", [False, True])
+def test_read_tracks_checks_the_header_skeleton_naming_file_and_line(
+        tmp_path, skeleton, problem, with_tracks):
+    path = _tracks_file(tmp_path, _state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]))
+    lines = path.read_text().splitlines()
+    header = json.dumps({"header": {"kind": "tracks", "skeleton": skeleton}})
+    path.write_text("\n".join([header, *(lines[1:] if with_tracks else [])]) + "\n")
+    with pytest.raises(ValidationError) as info:
+        read_tracks(path)
+    assert str(info.value) == f"{path}: line 1: {problem}"
+
+
 NOT_INTEGERS = [math.inf, -math.inf, math.nan, 2.5, 3.0, "3", True, False, None, [1]]
 
 
@@ -471,6 +487,28 @@ def test_read_scene_integer_and_number_fields_take_only_those_json_types(
     assert str(info.value) == f"{path}: missing or malformed field ({problem})"
 
 
+@pytest.mark.parametrize("field, value", [("units", 5), ("units", None),
+                                          ("engine_version", 0.1)])
+def test_read_scene_text_fields_take_only_json_strings(tmp_path, field, value):
+    scene = _scene()
+    scene["metadata"][field] = value
+    path = _scene_file(tmp_path, scene)
+    with pytest.raises(ParseError) as info:
+        read_scene(path)
+    assert str(info.value) == (
+        f"{path}: missing or malformed field ({field} must be a string, got {value!r})")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_read_scene_non_finite_joint_names_file_actor_and_frame(tmp_path, value):
+    scene = _scene()
+    scene["actors"][0]["samples"][0]["joints"] = [[0.0, value, 2.0]] + JOINTS[1:]
+    path = _scene_file(tmp_path, scene)
+    with pytest.raises(ValidationError) as info:
+        read_scene(path)
+    assert str(info.value) == f"{path}: actor 1 frame 3: non-finite joint value"
+
+
 @pytest.mark.parametrize("actors", [{}, 5, "actors"])
 def test_read_scene_actors_that_are_not_a_list_name_file(tmp_path, actors):
     with pytest.raises(ParseError, match=r"scene.json: .*actors must be a list"):
@@ -514,6 +552,15 @@ def test_read_scene_unknown_skeleton_names_file(tmp_path):
     scene["metadata"]["skeleton"] = "coco17"
     with pytest.raises(ValidationError, match=r"scene.json: unknown skeleton_id 'coco17'"):
         read_scene(_scene_file(tmp_path, scene))
+
+
+def test_read_scene_skeleton_that_is_not_a_string_names_file(tmp_path):
+    scene = _scene()
+    scene["metadata"]["skeleton"] = ["basic15"]
+    path = _scene_file(tmp_path, scene)
+    with pytest.raises(ValidationError) as info:
+        read_scene(path)
+    assert str(info.value) == f"{path}: skeleton_id must be a string, got ['basic15']"
 
 
 @pytest.mark.parametrize("field", ["joints", "fps"])
@@ -804,6 +851,9 @@ def parallel_walk(tmp_path_factory):
     ("tracker", "iou_gate", True, "TrackerConfig: iou_gate must be a number, got True"),
     ("tracker", "min_track_score", False,
      "TrackerConfig: min_track_score must be a number, got False"),
+    # The skeleton must be a string that names a known skeleton.
+    (None, "skeleton", "nope", "unknown skeleton_id 'nope'"),
+    (None, "skeleton", ["x"], "skeleton_id must be a string, got ['x']"),
 ])
 def test_track_cli_rejects_bad_config_numbers_with_exit_code_1(
         parallel_walk, tmp_path, capsys, section, field, value, message):
@@ -833,6 +883,23 @@ def test_track_cli_on_a_config_integer_past_the_float_range_exits_1(
             "--out", str(tmp_path / "tracks.jsonl")]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {config_path}: int too large to convert to float\n"
+    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+@pytest.mark.parametrize("skeleton", ["nope", ["x"], 5])
+def test_track_cli_checks_the_config_skeleton_with_no_detections(
+        parallel_walk, tmp_path, capsys, skeleton):
+    config = json.loads((parallel_walk / "config.json").read_text())
+    config["skeleton"] = skeleton
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("")
+    capsys.readouterr()
+    argv = ["track", "--detections", str(detections), "--depth-dir", str(parallel_walk / "depth"),
+            "--config", str(config_path), "--out", str(tmp_path / "tracks.jsonl")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
     assert not (tmp_path / "tracks.jsonl").exists()
 
 

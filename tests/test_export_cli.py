@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -58,6 +59,12 @@ def test_scene_document_round_trip_bit_exact(tmp_path):
             assert sa.joints.tobytes() == sb.joints.tobytes()
     assert scene_from_dict(scene_to_dict(doc)).actors[0].samples[0].joints.tobytes() \
         == doc.actors[0].samples[0].joints.tobytes()
+    assert loaded == doc and hash(loaded) == hash(doc)
+    moved = doc.actors[0].samples[0].joints.copy()
+    moved[0, 0] += 1.0
+    first = replace(doc.actors[0].samples[0], joints=moved)
+    actor = replace(doc.actors[0], samples=(first, *doc.actors[0].samples[1:]))
+    assert replace(doc, actors=(actor, *doc.actors[1:])) != loaded
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +262,26 @@ def test_cli_export_rejects_bad_header_fps(tmp_path, capsys, fps):
                    "--out", str(scene_path))
     assert code == 1
     assert capsys.readouterr().err == "error: SceneDocument: fps must be finite and > 0\n"
+    assert not scene_path.exists()
+
+
+@pytest.mark.parametrize("skeleton, problem", [
+    (["x"], "skeleton_id must be a string, got ['x']"),
+    (5, "skeleton_id must be a string, got 5"),
+    ("nope", "unknown skeleton_id 'nope'"),
+])
+@pytest.mark.parametrize("with_tracks", [False, True])
+def test_cli_export_rejects_a_bad_header_skeleton_naming_file_and_line(
+        tmp_path, capsys, skeleton, problem, with_tracks):
+    tracks_path = _tracks_file(tmp_path, 20.0)
+    header, *tracks = tracks_path.read_text().splitlines()
+    header = json.loads(header)
+    header["header"]["skeleton"] = skeleton
+    tracks_path.write_text("\n".join([json.dumps(header), *(tracks if with_tracks else [])]) + "\n")
+    scene_path = tmp_path / "scene.json"
+    code = run_cli("export", "--tracks", str(tracks_path), "--out", str(scene_path))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {tracks_path}: line 1: {problem}\n"
     assert not scene_path.exists()
 
 

@@ -1,11 +1,15 @@
+import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pose3dtrack
 from oracles import decode_mask, project
 from pose3dtrack.errors import ParseError, ValidationError
 from pose3dtrack.ingest import (
@@ -22,9 +26,12 @@ from pose3dtrack.ingest import (
     load_config,
     load_depth,
     parse_detections,
+    values_equal,
+    values_hash,
     write_depth,
     write_detections,
 )
+from pose3dtrack.synth import builtin, generate
 
 
 def make_keypoints(u=1.0, v=1.0, conf=1.0):
@@ -297,6 +304,36 @@ def test_value_types_holding_arrays_compare_and_hash_by_value():
     assert det != make_detection(runs=((0, 3),))
     assert det != make_detection(score=0.5)
     assert det.keypoints != det.mask and det.mask != det.keypoints
+    seq, again = (generate(builtin("parallel_walk", depth_noise=0.3, keypoint_noise=1.0))[0]
+                  for _ in range(2))
+    assert seq == again and hash(seq) == hash(again)
+    assert seq.frames[3] == again.frames[3] and hash(seq.frames[3]) == hash(again.frames[3])
+    depth = seq.frames[3].depth
+    assert depth == again.frames[3].depth and hash(depth) == hash(again.frames[3].depth)
+    values = depth.values.copy()
+    values[10, 20] += 1.0
+    changed = DepthMap(depth.width, depth.height, values)
+    assert depth != changed and changed != depth
+    frames = list(seq.frames)
+    frames[3] = dataclasses.replace(frames[3], depth=changed)
+    assert dataclasses.replace(seq, frames=tuple(frames)) != seq
+
+
+def test_every_dataclass_holding_an_array_takes_the_shared_equality_rule():
+    """The dataclass default ``==`` compares array fields with ``==`` and so
+    raises; a field annotated ``np.ndarray`` needs ``values_equal`` and
+    ``values_hash``, which know arrays by that annotation."""
+    modules = [importlib.import_module(f"pose3dtrack.{info.name}")
+               for info in pkgutil.iter_modules(pose3dtrack.__path__)]
+    holders = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert {cls.__name__ for cls in holders} >= {
+        "Mask2D", "Keypoints2D", "DepthMap", "Pose3D", "ActorSample"}
+    for cls in holders:
+        assert all(f.type == "np.ndarray" for f in dataclasses.fields(cls)
+                   if "ndarray" in str(f.type)), cls
+        assert (cls.__eq__, cls.__hash__) == (values_equal, values_hash), cls
 
 
 def test_skeleton_root_index_must_name_a_joint():

@@ -150,6 +150,8 @@ def test_a_bad_noise_flag_on_a_scenario_file_exits_1_before_writing_a_file(
      "person 0 behind camera at frame 8"),
     (one_person(waypoints=[[0, [1e30, 0.0, 3.0]]]),
      "Box3D: degenerate extents x[1e+30, 1e+30] y[-0.5, 0.5] z[3.0, 3.2]"),
+    # Finite, but its keypoints project past the float range.
+    (one_person(extent=[1e308, 1.0, 0.2]), "Keypoints2D: non-finite coordinate"),
 ])
 def test_a_scenario_file_that_fails_to_render_exits_1_naming_the_file(
         tmp_path, capsys, change, text):
@@ -159,6 +161,18 @@ def test_a_scenario_file_that_fails_to_render_exits_1_naming_the_file(
     assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: {text}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_focal_length_that_projects_corners_past_the_float_range_still_renders(
+        tmp_path, capsys):
+    spec = {**minimal_scenario(), "persons": [  # the second person projects to u = +inf
+        *one_person()["persons"], *one_person(waypoints=[[0, [6.0, 0.0, 3.0]]])["persons"]]}
+    spec["camera"]["fx"] = 1e308
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    out = synth(capsys, "--scenario", str(path), "--out-dir", str(tmp_path / "out"))
+    assert out.err == ""
+    assert len((tmp_path / "out" / "detections.jsonl").read_text().splitlines()) == 3
 
 
 def test_a_builtin_that_fails_to_render_keeps_its_text(tmp_path, capsys, monkeypatch):
