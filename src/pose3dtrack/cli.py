@@ -25,8 +25,7 @@ def cmd_track(ns: argparse.Namespace) -> int:
     tracker_cfg = cfg.tracker
     if ns.mode is not None:
         tracker_cfg = replace(tracker_cfg, association_mode=ns.mode)
-    seq = load_sequence(ns.detections, ns.depth_dir, cfg.camera,
-                        fps=cfg.fps, skeleton_id=cfg.skeleton_id)
+    seq = load_sequence(ns.detections, ns.depth_dir, cfg.camera, skeleton_id=cfg.skeleton_id)
     tracks = run_sequence(seq, tracker_cfg, lifting=cfg.lifting)
     write_tracks(ns.out, tracks, skeleton_id=cfg.skeleton_id, fps=cfg.fps,
                  tracker_cfg=tracker_cfg)
@@ -39,8 +38,7 @@ def cmd_track(ns: argparse.Namespace) -> int:
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     _, pred_tracks = read_tracks(ns.tracks)
-    gt_header, gt_tracks = read_tracks(ns.gt)
-    gt = ground_truth_from_tracks(gt_tracks, skeleton_id=gt_header.get("skeleton", BASIC15.name))
+    gt = ground_truth_from_tracks(read_tracks(ns.gt)[1])
     if ns.metric == "mota":
         report = mota(gt, pred_tracks, radius=ns.radius).to_dict()
     else:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, ValidationError
-from .ingest import Box2D, CameraModel, DepthMap, Mask2D, mask_indices
+from .ingest import (Box2D, CameraModel, DepthMap, LiftingConfig, Mask2D, check_percentile,
+                     mask_indices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +91,9 @@ def depth_extrema(
     instead of the absolute extrema, which keeps single outlier pixels from
     inflating the person's depth span.  The whole mask is decoded, only the
     indices on the box's rows are scattered into a band, and only the box's
-    depths are read.
+    depths are read.  Checks :func:`~pose3dtrack.ingest.check_percentile`.
     """
+    check_percentile(percentile)
     check_mask_frame(mask, depth)
     w = depth.width
     c0, c1, r0, r1 = box.pixel_bounds(w, depth.height)
@@ -107,7 +109,7 @@ def depth_extrema(
 
 
 def lift_box(box: Box2D, extrema: tuple[float, float], cam: CameraModel,
-             min_thickness: float = 0.2) -> Box3D:
+             min_thickness: float = LiftingConfig.min_thickness) -> Box3D:
     """Lift a 2D person box to a 3D box from its depth span ``extrema``.
 
     Lifting is two steps: :func:`depth_extrema` measures the span

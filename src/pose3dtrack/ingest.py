@@ -669,6 +669,13 @@ def check_patch(patch: int, prefix: str = "") -> None:
         raise ValidationError(f"{prefix}patch must be at most {MAX_PATCH}, got {patch}")
 
 
+def check_percentile(percentile: float, prefix: str = "") -> None:
+    """A depth-span percentile must be in [0, 50), so the span is not inverted;
+    NaN is not.  ``prefix`` leads the error message."""
+    if not (0.0 <= percentile < 50.0):
+        raise ValidationError(f"{prefix}depth_percentile must be in [0, 50)")
+
+
 @dataclass(frozen=True)
 class LiftingConfig:
     min_thickness: float = 0.2
@@ -679,8 +686,7 @@ class LiftingConfig:
         check_numbers(self)
         if not (math.isfinite(self.min_thickness) and self.min_thickness > 0.0):
             raise ValidationError("LiftingConfig: min_thickness must be finite and > 0")
-        if not (0.0 <= self.depth_percentile < 50.0):
-            raise ValidationError("LiftingConfig: depth_percentile must be in [0, 50)")
+        check_percentile(self.depth_percentile, "LiftingConfig: ")
         check_patch(self.patch, "LiftingConfig: ")
 
 

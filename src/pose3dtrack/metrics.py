@@ -109,10 +109,11 @@ def root_distances(
 ) -> np.ndarray:
     """Root-joint distances of one frame, ground truth by row and predictions
     by column in list order: the one distance that matching and identity
-    persistence compare with the radius."""
+    persistence compare with the radius; inf past the float range."""
     g_roots = np.array([pose.root for _, pose in gts]).reshape(-1, 3)
     p_roots = np.array([pose.root for _, pose in preds]).reshape(-1, 3)
-    return np.linalg.norm(g_roots[:, None, :] - p_roots[None, :, :], axis=2)
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(g_roots[:, None, :] - p_roots[None, :, :], axis=2)
 
 
 def match_frame(
@@ -239,10 +240,11 @@ def pck3d_rel(
     gt = np.stack([g.joints for g, _ in pairs])  # (pairs, joints, 4)
     pred = np.stack([p.joints for _, p in pairs])
     rows = np.arange(len(pairs))
-    shift = (gt[rows, [g.root_index for g, _ in pairs], :3]
-             - pred[rows, [p.root_index for _, p in pairs], :3])
-    aligned = pred[:, :, :3] + shift[:, None, :]
-    errors = np.linalg.norm(aligned - gt[:, :, :3], axis=2)  # (pairs, joints)
+    with np.errstate(over="ignore"):  # an error past the float range is inf
+        shift = (gt[rows, [g.root_index for g, _ in pairs], :3]
+                 - pred[rows, [p.root_index for _, p in pairs], :3])
+        aligned = pred[:, :, :3] + shift[:, None, :]
+        errors = np.linalg.norm(aligned - gt[:, :, :3], axis=2)  # (pairs, joints)
     valid = gt[:, :, 3] > 0.0
     total = int(valid.sum())
     if total == 0:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EmptySupportError, ValidationError
 from .geometry import check_mask_frame, depth_extrema
-from .ingest import (CameraModel, Detection, DepthMap, Skeleton, check_patch, get_skeleton,
-                     values_equal, values_hash)
+from .ingest import (CameraModel, Detection, DepthMap, LiftingConfig, Skeleton, check_patch,
+                     get_skeleton, values_equal, values_hash)
 
 # Unused here; kept so per-layer tracing can still patch this name on pose3d.
 from .ingest import mask_indices  # noqa: F401
@@ -165,7 +165,8 @@ def lift_poses(
         z[missing] = _medians(vals, picked)
     fill = np.isnan(z)
     z[fill] = ((spans[:, 0] + spans[:, 1]) / 2.0)[who[fill]]
-    x, y = cam.back_project(u, v, z)
+    with np.errstate(over="ignore"):  # past the float range is inf, which Pose3D rejects
+        x, y = cam.back_project(u, v, z)
 
     joints = np.empty((kps.shape[0], 4), dtype=np.float64)
     joints[live] = np.column_stack((x, y, z, conf))
@@ -182,11 +183,12 @@ def lift_pose(
     det: Detection,
     depth: DepthMap,
     cam: CameraModel,
-    patch: int = 5,
-    percentile: float = 0.0,
+    patch: int = LiftingConfig.patch,
+    percentile: float = LiftingConfig.depth_percentile,
 ) -> Pose3D:
     """Lift one detection's 2D keypoints as ``tracking.lift_frame`` does:
     measure its depth span with :func:`~pose3dtrack.geometry.depth_extrema`,
-    then run :func:`lift_poses` on it alone, so the span's faults come first."""
+    then run :func:`lift_poses` on it alone, so the span's faults come first.
+    The defaults are ``LiftingConfig``'s."""
     extrema = depth_extrema(depth, det.mask, det.box, percentile=percentile)
     return lift_poses([det], depth, cam, patch, [extrema])[0]

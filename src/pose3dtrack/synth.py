@@ -108,12 +108,12 @@ class PersonSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    persons: tuple[PersonSpec, ...]
     frames: int
     fps: float
-    camera: CameraModel
     width: int
     height: int
+    camera: CameraModel
+    persons: tuple[PersonSpec, ...]
     dropouts: tuple[tuple[int, int, int], ...] = ()  # (person, start, stop)
     depth_noise: float = 0.0
     keypoint_noise: float = 0.0
@@ -277,14 +277,15 @@ def generate(sc: Scenario) -> tuple[SequenceInput, GroundTruth]:
             depth[valid] = np.maximum(depth[valid] + depth_draw[valid], 1e-6)
         for (_, _, kps), noise in zip(parts, keypoint_draws):
             kps[:, :2] += noise
+        with np.errstate(over="ignore"):  # past float32 is inf, which DepthMap rejects
+            values = depth.astype(np.float32)
         frames.append(FrameInput(
             frame_index=frame,
             detections=tuple(
                 Detection(frame_index=frame, box=box, mask=mask, score=1.0,
                           keypoints=Keypoints2D(joints=kps, skeleton_id=BASIC15.name))
                 for box, mask, kps in parts),
-            depth=DepthMap(width=sc.width, height=sc.height,
-                           values=depth.astype(np.float32)),
+            depth=DepthMap(width=sc.width, height=sc.height, values=values),
         ))
 
     with ThreadPoolExecutor(max_workers=1) as worker:  # leaving the block joins it
@@ -418,23 +419,7 @@ def builtin(
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "frames": sc.frames,
-        "fps": sc.fps,
-        "width": sc.width,
-        "height": sc.height,
-        "seed": sc.seed,
-        "camera": asdict(sc.camera),
-        "persons": [
-            {"extent": list(p.extent),
-             "waypoints": [[f, list(pt)] for f, pt in p.waypoints]}
-            for p in sc.persons
-        ],
-        "dropouts": [list(d) for d in sc.dropouts],
-        "depth_noise": sc.depth_noise,
-        "keypoint_noise": sc.keypoint_noise,
-    }
+    return asdict(sc)
 
 
 def _numbers(values, person: int, what: str) -> tuple[float, ...]:
@@ -446,28 +431,19 @@ def _numbers(values, person: int, what: str) -> tuple[float, ...]:
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
+    """The scenario a ``scenario_to_dict`` object describes, built by keyword,
+    so a key that names no field is an error; ``name`` and ``fps`` may be
+    left out."""
     try:
-        persons = tuple(
-            PersonSpec(
-                waypoints=tuple((f, _numbers(pt, i, "waypoint coordinates"))
-                                for f, pt in p["waypoints"]),
-                extent=_numbers(p["extent"], i, "extent values"),
-            )
-            for i, p in enumerate(obj["persons"])
+        persons = tuple(  # each built by keyword first, so a wrong key is named
+            PersonSpec(tuple((f, _numbers(pt, i, "waypoint coordinates"))
+                             for f, pt in p.waypoints),
+                       _numbers(p.extent, i, "extent values"))
+            for i, p in enumerate(PersonSpec(**spec) for spec in obj["persons"])
         )
-        return Scenario(
-            name=obj.get("name", "custom"),
-            persons=persons,
-            frames=obj["frames"],
-            fps=obj.get("fps", 20.0),
-            camera=CameraModel(**obj["camera"]),
-            width=obj["width"],
-            height=obj["height"],
-            dropouts=tuple(map(tuple, obj.get("dropouts", ()))),
-            depth_noise=obj.get("depth_noise", 0.0),
-            keypoint_noise=obj.get("keypoint_noise", 0.0),
-            seed=obj.get("seed", 0),
-        )
+        return Scenario(**{"name": "custom", "fps": 20.0, **obj, "persons": persons,
+                           "camera": CameraModel(**obj["camera"]),
+                           "dropouts": tuple(map(tuple, obj.get("dropouts", ())))})
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(f"malformed scenario spec: {e}") from None
 

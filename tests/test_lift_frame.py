@@ -1,7 +1,7 @@
 """``tracking.lift_frame``, the one per-frame lifting step: per detection,
 its items are the box lifted from its measured span and its pose as
-``lift_pose`` gives it alone, and the frame's first unliftable detection in
-input order is the one reported."""
+``lift_pose`` gives it alone, with the same defaults, and the frame's first
+unliftable detection in input order is the one reported."""
 
 import numpy as np
 import pytest
@@ -40,6 +40,19 @@ def test_lift_frame_items_are_each_detections_box_and_pose(name, lifting):
         assert lift_frame(frame.detections, depth, cam, lifting) == expected
         detections += len(expected)
     assert detections > 0
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_default_lift_box_and_lift_pose_lift_as_the_default_lift_frame(name):
+    seq, _ = generate(builtin(name, seed=7, depth_noise=0.05))
+    cam, lifting = seq.camera, LiftingConfig()
+    for frame in seq.frames:
+        depth = frame.load()
+        assert lift_frame(frame.detections, depth, cam, lifting) == [
+            (det, lift_box(det.box, depth_extrema(depth, det.mask, det.box,
+                                                  lifting.depth_percentile), cam),
+             lift_pose(det, depth, cam))
+            for det in frame.detections]
 
 
 def test_lift_frame_reports_the_first_unliftable_detection_in_input_order():

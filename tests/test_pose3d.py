@@ -5,6 +5,7 @@ import pytest
 
 from oracles import project
 from pose3dtrack.errors import EmptySupportError, ValidationError
+from pose3dtrack.geometry import depth_extrema
 from pose3dtrack.ingest import (
     BASIC15,
     Box2D,
@@ -108,6 +109,18 @@ def test_patch_must_be_an_odd_int_for_both_lifting_calls(patch):
         lift_pose(det, depth, cam, patch=patch)
     with pytest.raises(ValidationError, match=message):
         lift_poses([det], depth, cam, patch, [(2.0, 2.0)])
+
+
+@pytest.mark.parametrize("percentile", [60.0, -5.0, math.nan])
+def test_a_percentile_outside_0_to_50_is_rejected_by_the_span_and_lift_pose(percentile):
+    det = detection_with_joints(centered_joints(8.0, 8.0))
+    depth = constant_depth(20, 20, 2.0)
+    cam = CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
+    message = r"^depth_percentile must be in \[0, 50\)$"
+    with pytest.raises(ValidationError, match=message):
+        depth_extrema(depth, det.mask, det.box, percentile)
+    with pytest.raises(ValidationError, match=message):
+        lift_pose(det, depth, cam, percentile=percentile)
 
 
 def test_frame_kernel_rejects_a_patch_over_its_maximum():

@@ -80,10 +80,10 @@ def test_scenario_to_dict_bytes():
     )
     assert json.dumps(scenario_to_dict(sc)) == (
         '{"name": "pinned", "frames": 6, "fps": 12.5, "width": 64, "height": 48, '
-        '"seed": 3, "camera": {"fx": 600.0, "fy": 610.5, "cx": 320, "cy": 240.25, '
-        '"world_scale": 2.0}, "persons": [{"extent": [0.5, 1.5, 0.25], '
-        '"waypoints": [[0, [0.0, 0.1, 3.0]], [5, [0.5, 0.1, 3.5]]]}], '
-        '"dropouts": [[0, 2, 4]], "depth_noise": 0.01, "keypoint_noise": 0.5}'
+        '"camera": {"fx": 600.0, "fy": 610.5, "cx": 320, "cy": 240.25, '
+        '"world_scale": 2.0}, "persons": [{"waypoints": [[0, [0.0, 0.1, 3.0]], '
+        '[5, [0.5, 0.1, 3.5]]], "extent": [0.5, 1.5, 0.25]}], '
+        '"dropouts": [[0, 2, 4]], "depth_noise": 0.01, "keypoint_noise": 0.5, "seed": 3}'
     )
 
 

@@ -235,13 +235,13 @@ def test_bundle_writes_all_artifacts(tmp_path):
 # stream; the last two draw only one kind of noise each.
 @pytest.mark.parametrize("sc, digest", [
     (builtin("three_person_mix", seed=5, depth_noise=0.02, keypoint_noise=0.5),
-     "34e6e06420292b064b33974aee7c36ad1bf2d2603ff616d19ea3349c404233bd"),
+     "7911493f9e177266ef71d87b3b8e1039b0df3f19b090b161923f81c4d0977143"),
     (builtin("depth_cross", seed=3, depth_noise=0.05, keypoint_noise=1.0),
-     "e2fac7d7cfad6d3e26972b94a0d3f712c68370218f971d0855af70983e3dd956"),
+     "d45555ae9500f70971769bde7ea353b07be320ae9cc8acfbbefa07284a1e51a2"),
     (builtin("three_person_mix", seed=11, keypoint_noise=0.7),
-     "371ffa14c1bd28cf97b8175130df8dc87ec49d6dd0fcac283a98618ee0d9c319"),
+     "206cc06c8b33dd5e5a183b5abe673f719a192aa85731cd0b1747dfa14e27b38e"),
     (builtin("full_occlusion", seed=2, depth_noise=0.03),
-     "0db468180baa0ee28b1811b9812223148ec0f981907a0124185bc98afcdb20a8"),
+     "96e55c228613337f497daea4fe1e7daa3e8fb9d772456524a0c38983e7460d85"),
 ], ids=["three_person_mix", "depth_cross", "keypoint_noise_only", "depth_noise_only"])
 def test_noisy_bundles_keep_their_bytes(tmp_path, sc, digest):
     interval = sys.getswitchinterval()

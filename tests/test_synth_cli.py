@@ -30,6 +30,7 @@ def test_a_bundle_scenario_file_rewrites_the_bundle_byte_for_byte(tmp_path, caps
     out = synth(capsys, "--scenario", name, "--out-dir", str(first), "--seed", "7", "--noise", "0.5")
     again = synth(capsys, "--scenario", str(first / "scenario.json"), "--out-dir", str(second))
     assert again.out == out.out.replace(str(first), str(second))
+    assert load_scenario(first / "scenario.json") == builtin(name, seed=7, depth_noise=0.5)
     assert bundle_bytes(second) == bundle_bytes(first)
     shutil.rmtree(tmp_path)  # about 40 MB of rasters each
 
@@ -120,6 +121,26 @@ def test_an_invalid_scenario_file_exits_1_before_writing_a_file(tmp_path, capsys
     capsys.readouterr()
     assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: {text}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"depth_nosie": 0.3}, "depth_nosie"),
+    ({"dropout": [[0, 1, 2]]}, "dropout"),
+    ({"persons": [{"waypoints": [[0, [0.0, 0.0, 3.0]]], "extnt": [0.5, 1.0, 0.2]}]}, "extnt"),
+    (one_person(colour="red"), "colour"),
+])
+def test_a_misspelled_scenario_key_exits_1_naming_the_file_and_the_key(
+        tmp_path, capsys, change, key):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**minimal_scenario(), **change}))
+    capsys.readouterr()
+    assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # The key is named in Python's own TypeError wording, which is not pinned.
+    assert err.startswith(f"error: {path}: malformed scenario spec: ")
+    assert err.endswith(f" unexpected keyword argument {key!r}\n") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
