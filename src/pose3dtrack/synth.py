@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from inspect import signature
 from itertools import product
 from pathlib import Path
 
@@ -432,9 +433,10 @@ def _numbers(values, person: int, what: str) -> tuple[float, ...]:
 
 def scenario_from_dict(obj: dict) -> Scenario:
     """The scenario a ``scenario_to_dict`` object describes, built by keyword,
-    so a key that names no field is an error; ``name`` and ``fps`` may be
-    left out."""
+    so a key that names no field is an error, named before any value is
+    read; ``name`` and ``fps`` may be left out."""
     try:
+        signature(Scenario).bind_partial(**obj)
         persons = tuple(  # each built by keyword first, so a wrong key is named
             PersonSpec(tuple((f, _numbers(pt, i, "waypoint coordinates"))
                              for f, pt in p.waypoints),

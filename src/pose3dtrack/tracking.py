@@ -14,7 +14,8 @@ import gc
 import math
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain
+from itertools import chain, islice
+from operator import attrgetter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -46,6 +47,13 @@ PREDICTED = "pred"
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
+def _box_rows(boxes: list, cls: type = Box3D) -> np.ndarray:
+    """Each box's fields, in ``as_array``/``as_tuple`` order, as one float64 row."""
+    names = cls.__dataclass_fields__
+    values = chain.from_iterable(map(attrgetter(*names), boxes))
+    return np.fromiter(values, np.float64, len(boxes) * len(names)).reshape(-1, len(names))
+
+
 @dataclass(frozen=True, slots=True)
 class TrackState:
     frame_index: int
@@ -67,9 +75,6 @@ class Track:
     @property
     def last_state(self) -> TrackState:
         return self.states[-1]
-
-    def observed_states(self) -> list[TrackState]:
-        return [s for s in self.states if s.kind == OBSERVED]
 
     def drop_trailing_predictions(self) -> None:
         while self.states and self.states[-1].kind == PREDICTED:
@@ -135,6 +140,9 @@ def _assignment(cost: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.n
     column is a component of its own and is taken as it is; the other
     rows and columns with an allowed pair are solved densely together.
     """
+    rows, cols = np.nonzero(allowed)
+    if len(set(rows.tolist())) == len(set(cols.tolist())) == len(rows):
+        return rows, cols  # every pair is alone
     row_deg, col_deg = allowed.sum(axis=1), allowed.sum(axis=0)
     alone = allowed & (row_deg == 1)[:, None] & (col_deg == 1)
     rows, cols = np.nonzero(alone)
@@ -177,8 +185,10 @@ def canonical_matching(cost: np.ndarray, allowed: np.ndarray,
     def pairs(col: np.ndarray) -> list[tuple[int, int]]:
         return [(r, c) for r, c in enumerate(col.tolist()) if c < m]
 
-    col = np.full(n, m)  # each row's column; m: unmatched
     rows, cols = _assignment(cost, allowed)
+    if len(rows) == np.count_nonzero(allowed):  # every pair alone: nothing can move
+        return list(zip(rows.tolist(), cols.tolist()))
+    col = np.full(n, m)  # each row's column; m: unmatched
     col[rows] = cols
     row_ids, col_ids = np.arange(n), np.arange(m)
     start, best = 0, None
@@ -240,15 +250,9 @@ def associate(
     tracks in list order each take the lowest detection position possible.
     """
     if mode == "iou3d":
-        iou = iou3d_matrix(
-            np.array([b.as_array() for b in track_boxes]).reshape(-1, 6),
-            np.array([b.as_array() for b in det_boxes]).reshape(-1, 6),
-        )
+        iou = iou3d_matrix(_box_rows(track_boxes), _box_rows(det_boxes))
     elif mode == "iou2d":
-        iou = iou2d_matrix(
-            np.array([b.as_tuple() for b in track_boxes]).reshape(-1, 4),
-            np.array([b.as_tuple() for b in det_boxes]).reshape(-1, 4),
-        )
+        iou = iou2d_matrix(_box_rows(track_boxes, Box2D), _box_rows(det_boxes, Box2D))
     else:
         raise ValidationError(f"unknown association mode {mode!r}")
     return assign_by_iou(iou, gate)
@@ -258,15 +262,13 @@ def associate(
 # Trajectory prediction
 # ---------------------------------------------------------------------------
 
-def _linear_fit_extrapolate(frames: np.ndarray, values: np.ndarray, target: float) -> np.ndarray:
-    """Least-squares line per column of `values`, evaluated at `target`."""
-    if frames.size == 1:
-        return values[0].copy()
-    t = frames - frames.mean()
-    denom = float(np.dot(t, t))
-    mean = values.mean(axis=0)
+def _linear_fit_extrapolate(t: np.ndarray, denom: float, ahead: float,
+                            values: np.ndarray) -> np.ndarray:
+    """Least-squares line per column of `values` over the centred frames
+    `t` (``denom`` is ``t @ t``), evaluated `ahead` of their mean."""
+    mean = values.sum(axis=0) / len(values)  # np.mean's bits without its overhead
     slope = (t @ (values - mean)) / denom
-    return mean + slope * (target - frames.mean())
+    return mean + slope * ahead
 
 
 def predict(track: Track, window: int, target_frame: int) -> tuple[Box3D, Pose3D, Box2D | None]:
@@ -278,35 +280,35 @@ def predict(track: Track, window: int, target_frame: int) -> tuple[Box3D, Pose3D
     extrapolates with zero velocity.  A box whose fitted extents are not
     strictly increasing on every axis (a box that narrowed before the miss)
     is replaced by the last observed box, for the 3D and the 2D box alike.
+    Only the window's states are read, and its blocks share one time base.
 
     Frames are counted from the last observed one, an exact integer shift,
     so adding a constant to every frame leaves the prediction's bits alone.
     """
-    observed = track.observed_states()[-window:]
+    observed = list(islice((s for s in reversed(track.states) if s.kind == OBSERVED), window))[::-1]
     if not observed:
         raise ValidationError("predict: track has no observed state")
-    last = observed[-1].frame_index
-    target = float(target_frame - last)
-    frames = np.array([s.frame_index - last for s in observed], dtype=np.float64)
-    ref_pose = observed[-1].pose3d
+    last = observed[-1]
+    frames = np.array([s.frame_index - last.frame_index for s in observed], dtype=np.float64)
+    centre = frames.sum() / len(frames)
+    t = frames - centre
+    denom = float(np.dot(t, t))
+    ahead = float(target_frame - last.frame_index) - centre
 
-    box_vals = np.stack([s.box3d.as_array() for s in observed])
-    joints_vals = np.stack([s.pose3d.joints[:, :3].reshape(-1) for s in observed])
-    fit = _linear_fit_extrapolate(frames, box_vals, target)
-    box = Box3D.from_array(fit) if (fit[0::2] < fit[1::2]).all() else observed[-1].box3d
-    joints_xyz = _linear_fit_extrapolate(frames, joints_vals, target).reshape(-1, 3)
-    joints = np.concatenate([joints_xyz, ref_pose.joints[:, 3:4]], axis=1)
-    pose = Pose3D(joints=joints, root_index=ref_pose.root_index,
-                  skeleton_id=ref_pose.skeleton_id)
+    def fit(values: np.ndarray) -> np.ndarray:
+        return values[0] if len(observed) == 1 else _linear_fit_extrapolate(t, denom, ahead, values)
+
+    box_fit = fit(_box_rows([s.box3d for s in observed]))
+    box = Box3D(*box_fit.tolist()) if (box_fit[0::2] < box_fit[1::2]).all() else last.box3d
+    joints = np.stack([s.pose3d.joints for s in observed])
+    joints_xyz = fit(joints[:, :, :3].reshape(len(observed), -1)).reshape(-1, 3)
+    pose = Pose3D(joints=np.concatenate([joints_xyz, last.pose3d.joints[:, 3:4]], axis=1),
+                  root_index=last.pose3d.root_index, skeleton_id=last.pose3d.skeleton_id)
 
     box2d = None
     if all(s.box2d is not None for s in observed):
-        b2_vals = np.stack([np.array(s.box2d.as_tuple()) for s in observed])
-        x0, y0, x1, y1 = _linear_fit_extrapolate(frames, b2_vals, target)
-        if x0 < x1 and y0 < y1:
-            box2d = Box2D(float(x0), float(y0), float(x1), float(y1))
-        else:
-            box2d = observed[-1].box2d
+        fit2d = fit(_box_rows([s.box2d for s in observed], Box2D))
+        box2d = Box2D(*fit2d.tolist()) if (fit2d[:2] < fit2d[2:]).all() else last.box2d
     return box, pose, box2d
 
 
@@ -484,7 +486,8 @@ def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:
         rows = list(chain.from_iterable(poses))
         if not (set(kinds) <= {OBSERVED, PREDICTED} and set(map(type, frames)) <= {int}
                 and set(map(type, boxes + poses + rows)) <= {list} and set(map(len, boxes)) <= {6}
-                and set(map(len, poses)) <= {j} and set(map(len, rows)) <= {4}):
+                and set(map(len, poses)) <= {j} and set(map(len, rows)) <= {4}
+                and len(set(frames)) == n):
             return None
         boxes = np.fromiter(chain.from_iterable(boxes), np.float64, 6 * n).reshape(n, 6)
         joints = np.fromiter(chain.from_iterable(rows), np.float64, 4 * j * n)
@@ -505,9 +508,9 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
     Each track's states are read as two arrays; a track with a bad state is
     read again state by state, so the error names the first bad state's
     fault.  The poses of one track are rows of one joint array.  Track ids,
-    births and state frames must be JSON integers.  The header's skeleton
-    (``basic15`` without a header, or a header without one) is checked once,
-    on the header line.
+    births and state frames must be JSON integers, and no two states of one
+    track may share a frame.  The header's skeleton (``basic15`` without a
+    header, or a header without one) is checked once, on the header line.
 
     The cyclic garbage collector is paused for the whole read: the decoded
     lines and the ``TrackState``, ``Box3D`` and ``Pose3D`` objects built
@@ -542,13 +545,18 @@ def read_tracks(path: str | Path) -> tuple[dict, list[Track]]:
                               birth_frame=json_int(obj["birth"], "birth", path, lineno))
                 states = _states_from_arrays(obj["states"], skel)
                 if states is None:  # a state is bad: read state by state to name it
-                    states = []
+                    states, frames = [], set()
                     for s in obj["states"]:
                         if s["kind"] not in (OBSERVED, PREDICTED):
                             raise ParseError(
                                 f"{path}: unknown state kind {s['kind']!r}", line=lineno)
+                        frame = json_int(s["frame"], "frame", path, lineno)
+                        if frame in frames:
+                            raise ParseError(f"{path}: track {track.track_id} has two states "
+                                             f"at frame {frame}", line=lineno)
+                        frames.add(frame)
                         states.append(TrackState(
-                            frame_index=json_int(s["frame"], "frame", path, lineno),
+                            frame_index=frame,
                             kind=s["kind"],
                             box3d=Box3D.from_array(s["box3d"]),
                             pose3d=Pose3D(s["pose3d"], skel.root_index, skel.name),

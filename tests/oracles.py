@@ -19,7 +19,7 @@ import numpy as np
 from pose3dtrack import __version__
 from pose3dtrack.errors import EvaluationError, ParseError, ValidationError
 from pose3dtrack.geometry import Box3D
-from pose3dtrack.ingest import get_skeleton
+from pose3dtrack.ingest import Box2D, get_skeleton
 from pose3dtrack.jsonio import json_lines as _json_lines
 from pose3dtrack.metrics import AUC_THRESHOLDS, PckReport
 from pose3dtrack.pose3d import Pose3D
@@ -199,6 +199,56 @@ def reference_frame_matching(gts, preds, radius):
         dist <= radius,
         lambda pairs: (len(pairs), -sum(Fraction(dist[r, c]) for r, c in pairs)))
     return [(gts[r][0], preds[c][0]) for r, c in pairs]
+
+
+# ---------------------------------------------------------------------------
+# Trajectory prediction reference
+#
+# ``tracking.predict`` as it first stood: every observed state of the track
+# is listed before the window is cut, each box is made an array of its own,
+# and each block computes its own time base.  The library reads only the
+# window and shares one time base, and must give the same bits.
+# ---------------------------------------------------------------------------
+
+def _reference_linear_fit_extrapolate(frames, values, target):
+    """Least-squares line per column of `values`, evaluated at `target`."""
+    if frames.size == 1:
+        return values[0].copy()
+    t = frames - frames.mean()
+    denom = float(np.dot(t, t))
+    mean = values.mean(axis=0)
+    slope = (t @ (values - mean)) / denom
+    return mean + slope * (target - frames.mean())
+
+
+def reference_predict(track, window, target_frame):
+    """``tracking.predict`` by its first formula."""
+    observed = [s for s in track.states if s.kind == OBSERVED][-window:]
+    if not observed:
+        raise ValidationError("predict: track has no observed state")
+    last = observed[-1].frame_index
+    target = float(target_frame - last)
+    frames = np.array([s.frame_index - last for s in observed], dtype=np.float64)
+    ref_pose = observed[-1].pose3d
+
+    box_vals = np.stack([s.box3d.as_array() for s in observed])
+    joints_vals = np.stack([s.pose3d.joints[:, :3].reshape(-1) for s in observed])
+    fit = _reference_linear_fit_extrapolate(frames, box_vals, target)
+    box = Box3D.from_array(fit) if (fit[0::2] < fit[1::2]).all() else observed[-1].box3d
+    joints_xyz = _reference_linear_fit_extrapolate(frames, joints_vals, target).reshape(-1, 3)
+    joints = np.concatenate([joints_xyz, ref_pose.joints[:, 3:4]], axis=1)
+    pose = Pose3D(joints=joints, root_index=ref_pose.root_index,
+                  skeleton_id=ref_pose.skeleton_id)
+
+    box2d = None
+    if all(s.box2d is not None for s in observed):
+        b2_vals = np.stack([np.array(s.box2d.as_tuple()) for s in observed])
+        x0, y0, x1, y1 = _reference_linear_fit_extrapolate(frames, b2_vals, target)
+        if x0 < x1 and y0 < y1:
+            box2d = Box2D(float(x0), float(y0), float(x1), float(y1))
+        else:
+            box2d = observed[-1].box2d
+    return box, pose, box2d
 
 
 def clear_frame_counts(gts, preds, prev_assignment, radius):

@@ -777,6 +777,47 @@ def test_eval_rejects_a_tracks_file_that_gives_one_id_two_poses_in_a_frame(tmp_p
         assert captured.out == "" and captured.err == "error: frame 0: duplicate track id 0\n"
 
 
+def _track_with_frames(tmp_path, frames, box=(-0.5, 0.5, -1.0, 1.0, 1.8, 2.2)):
+    """The tracks file of ``_tracks_file`` whose second track has a state at
+    each of ``frames``, the last of them with ``box``."""
+    states = [_state([-0.5, 0.5, -1.0, 1.0, 1.8, 2.2]) for _ in frames]
+    states[-1]["box3d"] = list(box)
+    path = _tracks_file(tmp_path, states[0])
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[2]["states"] = [{**state, "frame": f} for state, f in zip(states, frames)]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    return path
+
+
+# A repeated frame sends the track to the per-state reader, which names it.
+# In the second file the last state's box is degenerate too; the repeat comes
+# at or before that state, so it is the fault named.
+@pytest.mark.parametrize("box", [(-0.5, 0.5, -1.0, 1.0, 1.8, 2.2),
+                                 (0.5, -0.5, -1.0, 1.0, 1.8, 2.2)],
+                         ids=["good boxes", "degenerate last box"])
+@pytest.mark.parametrize("frames", [[0, 1, 0], [3, 3], [5, 6, 7, 6]])
+def test_read_tracks_rejects_a_track_with_two_states_at_one_frame(tmp_path, frames, box):
+    path = _track_with_frames(tmp_path, frames, box)
+    with pytest.raises(ParseError) as info:
+        read_tracks(path)
+    repeated = next(f for k, f in enumerate(frames) if f in frames[:k])
+    assert str(info.value) == f"line 3: {path}: track 2 has two states at frame {repeated}"
+
+
+@pytest.mark.parametrize("metric", ["mota", "pck3d", "auc"])
+def test_eval_rejects_a_track_with_two_states_at_one_frame_naming_file_and_line(
+        tmp_path, capsys, metric):
+    (tmp_path / "gt").mkdir()
+    gt = _valid_tracks_file(tmp_path / "gt")
+    tracks = _track_with_frames(tmp_path, [0, 1, 0])
+    capsys.readouterr()
+    for first, second in ((tracks, gt), (gt, tracks)):
+        argv = ["eval", "--tracks", str(first), "--gt", str(second), "--metric", metric]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: line 3: {tracks}: track 2 has two states at frame 0\n")
+
+
 @pytest.mark.parametrize("value", BAD_POSITIVE)
 def test_lifting_config_rejects_a_min_thickness_that_is_not_finite_and_positive(value):
     with pytest.raises(ValidationError) as info:

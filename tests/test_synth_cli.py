@@ -144,6 +144,22 @@ def test_a_misspelled_scenario_key_exits_1_naming_the_file_and_the_key(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, typo", [("camera", "camra"), ("persons", "persns")])
+def test_a_misspelled_required_scenario_key_is_named_not_the_missing_one(
+        tmp_path, capsys, key, typo):
+    spec = minimal_scenario()
+    spec[typo] = spec.pop(key)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert cli_main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: malformed scenario spec: ")
+    assert err.endswith(f" unexpected keyword argument {typo!r}\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_negative_seed_flag_exits_1_before_writing_a_file(tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "out"
