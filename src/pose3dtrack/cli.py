@@ -11,9 +11,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import PoseTrackError
+from .errors import PoseTrackError, ValidationError
 from .ingest import BASIC15, load_config, load_sequence
-from .export import export_scene, write_scene
+from .export import _checked_fps, export_scene, write_scene
 from .jsonio import encode
 from .metrics import auc_rel, ground_truth_from_tracks, matched_pose_pairs, mota, pck3d_rel
 from .synth import BUILTIN_NAMES, builtin, load_scenario, write_scenario_bundle
@@ -81,7 +81,14 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 
 def cmd_export(ns: argparse.Namespace) -> int:
     header, tracks = read_tracks(ns.tracks)
-    fps = ns.fps if ns.fps is not None else float(header.get("fps", 30.0))
+    if ns.fps is None:
+        fps, source = float(header.get("fps", 30.0)), f"{ns.tracks}: header fps"
+    else:
+        fps, source = ns.fps, "--fps"
+    try:
+        _checked_fps(fps)
+    except ValidationError:
+        raise ValidationError(f"{source} must be finite and > 0, got {fps!r}") from None
     doc = export_scene(tracks, fps=fps, skeleton_id=header.get("skeleton", BASIC15.name))
     write_scene(ns.out, doc)
     samples = sum(len(a.samples) for a in doc.actors)

@@ -63,22 +63,17 @@ def export_scene(tracks: list[Track], fps: float, skeleton_id: str) -> SceneDocu
     joint_count = get_skeleton(skeleton_id).joint_count
     actors = []
     for track in sorted(tracks, key=lambda t: t.track_id):
-        samples = []
-        for state in track.states:
-            if state.pose3d.joints.shape[0] != joint_count:
+        poses = [state.pose3d.joints for state in track.states]
+        for pose in poses:
+            if pose.shape[0] != joint_count:
                 raise ValidationError(
-                    f"track {track.track_id}: pose has "
-                    f"{state.pose3d.joints.shape[0]} joints, skeleton "
+                    f"track {track.track_id}: pose has {pose.shape[0]} joints, skeleton "
                     f"{skeleton_id!r} expects {joint_count}"
                 )
-            samples.append(ActorSample(
-                frame=state.frame_index,
-                state=_STATE_NAMES[state.kind],
-                joints=state.pose3d.joints[:, :3].copy(),
-            ))
-        actors.append(Actor(actor_id=track.track_id,
-                            birth_frame=track.birth_frame,
-                            samples=tuple(samples)))
+        joints = np.stack(poses)[:, :, :3].copy() if poses else ()  # rows are C-contiguous
+        actors.append(Actor(actor_id=track.track_id, birth_frame=track.birth_frame,
+                            samples=tuple(ActorSample(s.frame_index, _STATE_NAMES[s.kind], row)
+                                          for s, row in zip(track.states, joints))))
     return SceneDocument(fps=_checked_fps(fps), skeleton_id=skeleton_id,
                          engine_version=__version__, actors=tuple(actors))
 
@@ -137,12 +132,14 @@ def scene_from_dict(obj: dict) -> SceneDocument:
 def write_scene(path: str | Path, doc: SceneDocument) -> None:
     """Write ``doc`` as the exact bytes of ``json.dump(..., indent=2)``.
 
-    The metadata and each actor go through ``jsonio.encode``, indented to
-    their depth; actors are written one at a time, so only one actor's
-    text is held at once.
+    The metadata and each actor go through ``jsonio.encode`` inside one
+    and two one-element lists, so both of its encoders indent them to
+    their depth in the document, and the lists' fixed head and tail are
+    cut off.  Actors are written one at a time, so only one actor's text
+    is held at once.
     """
-    metadata = encode({"fps": doc.fps, "skeleton": doc.skeleton_id, "units": doc.units,
-                       "engine_version": doc.engine_version}, indent=True).replace(b"\n", b"\n  ")
+    metadata = encode([{"fps": doc.fps, "skeleton": doc.skeleton_id, "units": doc.units,
+                        "engine_version": doc.engine_version}], indent=True)[4:-2]
     with open(path, "wb") as f:
         f.write(b'{\n  "metadata": ' + metadata + b',\n  "actors": ')
         separator = b"[\n    "
@@ -151,10 +148,11 @@ def write_scene(path: str | Path, doc: SceneDocument) -> None:
                 if s.joints.ndim != 2:
                     raise ValidationError(f"actor {actor.actor_id} frame {s.frame}: joints "
                                           f"must be 2-D, got shape {s.joints.shape}")
-            text = encode({"id": actor.actor_id, "birth": actor.birth_frame, "samples": [
-                {"frame": s.frame, "state": s.state, "joints": s.joints} for s in actor.samples]},
-                indent=True)
-            f.write(separator + text.replace(b"\n", b"\n    "))
+            text = encode([[{"id": actor.actor_id, "birth": actor.birth_frame, "samples": [
+                {"frame": s.frame, "state": s.state, "joints": s.joints}
+                for s in actor.samples]}]], indent=True)
+            f.write(separator)
+            f.write(memoryview(text)[10:-6])  # less "[\n  [\n    " and "\n  ]\n]"
             separator = b",\n    "
         f.write(b"\n  ]\n}\n" if doc.actors else b"[]\n}\n")
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -124,30 +126,37 @@ def json_int(value: Any, name: str, path: Path, lineno: int) -> int:
 # in orjson's output (with ", " and ": " put back) starts after "[", a
 # space or nothing and ends before ",", "]", "}", a newline or nothing.
 _PLAIN_TEXT = re.compile(r"[\w.-]*", re.ASCII).fullmatch
-_MAX_REWRITES = 32  # one rewrite scans and copies the text; json.dumps costs 40 or more
+_MAX_REWRITES = 32  # each value rewritten scans the text; json.dumps costs 40 or more
 _FLOAT64 = np.dtype(np.float64)
-_ARRAY_DTYPES = (_FLOAT64, np.dtype(np.int64))
+_ARRAY_DTYPES = {_FLOAT64, np.dtype(np.int64)}
+_TYPES = {dict, list, tuple, str, float, int, bool, type(None), np.ndarray}
+_UNCOLLECTED = {int, bool, type(None)}  # written alike by both encoders
 
 
-def _scan(obj: Any, texts: list, floats: list) -> bool:
+def _scan(obj: Any, texts: set, floats: list) -> bool:
     """Whether orjson writes ``obj`` as ``json.dumps`` does if the strings
     put in ``texts`` are plain and the floats put in ``floats`` need no
-    rewrite; false on any other type (a float32 array, a float subclass)."""
-    kind = type(obj)
-    if kind is dict or kind is list or kind is tuple:
-        if kind is dict:
-            texts.extend(obj)
-            obj = obj.values()
-        for value in obj:
-            if not _scan(value, texts, floats):
-                return False
-        return True
-    if kind is str:
-        texts.append(obj)
-    elif kind is float or kind is np.ndarray and obj.dtype == _FLOAT64:
-        floats.append(obj)
-    return kind in (str, float, int, bool, type(None)) or (
-        kind is np.ndarray and obj.dtype in _ARRAY_DTYPES)
+    rewrite; false on any other type (a float32 array, a float subclass).
+    One nesting level per step: once a level holds only ``_TYPES``, each
+    ``kind.__instancecheck__`` picks out exactly the values of that type."""
+    level = [obj]
+    while level:
+        kinds = set(map(type, level))
+        if not kinds <= _TYPES:
+            return False
+        of = {kind: list(filter(kind.__instancecheck__, level)) for kind in kinds - _UNCOLLECTED}
+        dicts = of.get(dict, ())
+        texts.update(of.get(str, ()), chain.from_iterable(dicts))
+        floats.append(of.get(float, ()))
+        arrays = of.get(np.ndarray, ())
+        dtypes = set(map(attrgetter("dtype"), arrays))
+        if not dtypes <= _ARRAY_DTYPES:
+            return False
+        floats.extend(arrays if dtypes <= {_FLOAT64} else
+                      [a for a in arrays if a.dtype == _FLOAT64])
+        level = list(chain.from_iterable(chain(
+            map(dict.values, dicts), of.get(list, ()), of.get(tuple, ()))))
+    return True
 
 
 def _array_as_list(obj: Any) -> list:
@@ -165,7 +174,7 @@ def encode(obj: Any, indent: bool = False) -> bytes:
     orjson's ``0.00001``); one reduction finds those floats, whose whole
     tokens are rewritten.  ``json.dumps`` writes any text orjson cannot:
     non-finite floats, strings not plain, integers past 64 bits, ..."""
-    texts, floats = [], [()]  # np.concatenate needs one item
+    texts, floats = set(), [()]  # np.concatenate needs one item
     try:
         data = _scan(obj, texts, floats) and _PLAIN_TEXT("".join(texts)) and orjson.dumps(
             obj, option=orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0))
@@ -178,12 +187,17 @@ def encode(obj: Any, indent: bool = False) -> bytes:
         return json.dumps(obj, indent=2 if indent else None, default=_array_as_list).encode()
     if not indent:
         data = data.replace(b",", b", ").replace(b":", b": ")
+    spots = []
     for value in set(odd.tolist()):
         token, text = orjson.dumps(value), repr(value).encode()
         at = data.find(token)
         while at >= 0:  # an occurrence that is not a whole token lies in one number or string
             end = at + len(token)
             if data[at - 1:at] in b"[ " and data[end:end + 1] in b",]}\n":
-                data, end = data[:at] + text + data[end:], at + len(text)
+                spots.append((at, end, text))
             at = data.find(token, end)
-    return data
+    parts, last = [], 0
+    for at, end, text in sorted(spots):
+        parts += data[last:at], text
+        last = end
+    return b"".join(parts + [data[last:]])

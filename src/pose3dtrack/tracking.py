@@ -464,7 +464,8 @@ def write_tracks(
         for track in tracks:
             f.write(encode({"id": track.track_id, "birth": track.birth_frame, "states": [
                 {"frame": s.frame_index, "kind": s.kind, "box3d": s.box3d.as_array(),
-                 "pose3d": s.pose3d.joints} for s in track.states]}) + b"\n")
+                 "pose3d": s.pose3d.joints} for s in track.states]}))
+            f.write(b"\n")
 
 
 def _states_from_arrays(states, skel: Skeleton) -> list[TrackState] | None:

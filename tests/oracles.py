@@ -652,3 +652,33 @@ def reference_write_tracks(path, tracks, skeleton_id, fps, tracker_cfg=None, kin
                 ],
             }
             f.write(json.dumps(obj) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The encoder's type walk, one Python call per value
+# ---------------------------------------------------------------------------
+
+_FLOAT64 = np.dtype(np.float64)
+_ARRAY_DTYPES = (_FLOAT64, np.dtype(np.int64))
+
+
+def reference_scan(obj, texts: list, floats: list) -> bool:
+    """The original recursive ``jsonio._scan``: whether orjson writes
+    ``obj`` as ``json.dumps`` does if the strings put in ``texts`` are
+    plain and the floats put in ``floats`` need no rewrite; false on any
+    other type (a float32 array, a float subclass)."""
+    kind = type(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if kind is dict:
+            texts.extend(obj)
+            obj = obj.values()
+        for value in obj:
+            if not reference_scan(value, texts, floats):
+                return False
+        return True
+    if kind is str:
+        texts.append(obj)
+    elif kind is float or kind is np.ndarray and obj.dtype == _FLOAT64:
+        floats.append(obj)
+    return kind in (str, float, int, bool, type(None)) or (
+        kind is np.ndarray and obj.dtype in _ARRAY_DTYPES)

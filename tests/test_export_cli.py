@@ -251,17 +251,18 @@ def test_cli_export_rejects_bad_fps_flag(tmp_path, capsys, fps):
     code = run_cli("export", "--tracks", str(_tracks_file(tmp_path, 20.0)),
                    "--out", str(scene_path), f"--fps={fps}")
     assert code == 1
-    assert capsys.readouterr().err == "error: SceneDocument: fps must be finite and > 0\n"
+    assert capsys.readouterr().err == f"error: --fps must be finite and > 0, got {float(fps)!r}\n"
     assert not scene_path.exists()
 
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -5.0])
 def test_cli_export_rejects_bad_header_fps(tmp_path, capsys, fps):
     scene_path = tmp_path / "scene.json"
-    code = run_cli("export", "--tracks", str(_tracks_file(tmp_path, fps)),
-                   "--out", str(scene_path))
+    tracks_path = _tracks_file(tmp_path, fps)
+    code = run_cli("export", "--tracks", str(tracks_path), "--out", str(scene_path))
     assert code == 1
-    assert capsys.readouterr().err == "error: SceneDocument: fps must be finite and > 0\n"
+    assert capsys.readouterr().err == (
+        f"error: {tracks_path}: header fps must be finite and > 0, got {fps!r}\n")
     assert not scene_path.exists()
 
 
